@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .frames import Vec2, wrap_angle
 from .mmg import DynamicState
@@ -144,14 +144,6 @@ class ChannelBoundary:
         return da <= w + 1e-9 and db <= w + 1e-9
 
 
-def obstacle_clearance(pos: Vec2, obs: StaticObstacle) -> float:
-    """Center distance minus obstacle radius; raises if non-positive."""
-    rho = math.hypot(pos[0] - obs.center[0], pos[1] - obs.center[1]) - obs.R_obs
-    if rho <= 0.0:
-        raise FieldSingularity(f"vessel inside obstacle disc (clearance {rho:.3g})")
-    return rho
-
-
 def inverse_square_gradient(
     pos: Vec2,
     goal: Vec2,
@@ -204,41 +196,46 @@ def vortex_velocity(pos: Vec2, center: Vec2, K: float) -> Vec2:
     return (-coef * dy, coef * dx)
 
 
-def bearing_gamma(own_pose, obs_pos: Vec2) -> float:
-    """Bearing of the obstacle relative to the vessel's bow, in (-pi, pi]."""
+def _range_bearing(own_pose, obs_pos: Vec2) -> Tuple[float, float]:
+    """Separation of the obstacle from the vessel and its bearing gamma
+    relative to the bow, in (-pi, pi]."""
     dx = obs_pos[0] - own_pose.x
     dy = obs_pos[1] - own_pose.y
-    if math.hypot(dx, dy) < 1e-12:
+    sep = math.hypot(dx, dy)
+    if sep < 1e-12:
         raise FieldSingularity("coincident vessel and obstacle positions")
-    return wrap_angle(math.atan2(dy, dx) - own_pose.psi)
+    return sep, wrap_angle(math.atan2(dy, dx) - own_pose.psi)
 
 
-def relative_velocity(own: DynamicState, obs: ObstacleView) -> Vec2:
-    """Obstacle velocity relative to the vessel, in the global frame.
-
-    Static obstacles: -R(psi) nu.  Dynamic obstacles: V_obs - R(psi) nu,
-    where V_obs is the obstacle's global-frame velocity.
-    """
-    c, s = math.cos(own.pose.psi), math.sin(own.pose.psi)
-    own_vx = c * own.nu.u - s * own.nu.v
-    own_vy = s * own.nu.u + c * own.nu.v
-    if obs.is_dynamic:
-        return (obs.velocity_global[0] - own_vx, obs.velocity_global[1] - own_vy)
-    return (-own_vx, -own_vy)
+def bearing_gamma(own_pose, obs_pos: Vec2) -> float:
+    """Bearing of the obstacle relative to the vessel's bow, in (-pi, pi]."""
+    return _range_bearing(own_pose, obs_pos)[1]
 
 
-def radial_tangential(V_rel: Vec2, gamma: float, own_psi: float) -> Tuple[float, float]:
-    """Radial and tangential components of the relative velocity.
+def radial_tangential(own: DynamicState, obs: ObstacleView, gamma: float) -> Tuple[float, float]:
+    """Radial and tangential components of the obstacle's relative velocity.
 
-    V_rel (global frame) is expressed in the body frame (rotation by -psi)
-    and then rotated by the bearing gamma, so the components align with the
+    The relative velocity in the global frame is V_obs - R(psi) nu for a
+    dynamic obstacle (V_obs its global-frame velocity) and -R(psi) nu for a
+    static one.  It is expressed in the body frame (rotation by -psi) and
+    then rotated by the bearing gamma, so the components align with the
     line of sight: v_r < 0 means the obstacle is closing, and v_theta is
     the transversal rate (positive when the target drifts toward larger
-    bearings, i.e. starboard-abaft).
+    bearings, i.e. starboard-abaft).  cos/sin of psi are taken once for
+    both rotations.
     """
-    c, s = math.cos(own_psi), math.sin(own_psi)
-    bx = c * V_rel[0] + s * V_rel[1]
-    by = -s * V_rel[0] + c * V_rel[1]
+    psi = own.pose.psi
+    c, s = math.cos(psi), math.sin(psi)
+    u, v = own.nu.u, own.nu.v
+    own_vx = c * u - s * v
+    own_vy = s * u + c * v
+    if obs.is_dynamic:
+        rel_x = obs.velocity_global[0] - own_vx
+        rel_y = obs.velocity_global[1] - own_vy
+    else:
+        rel_x, rel_y = -own_vx, -own_vy
+    bx = c * rel_x + s * rel_y
+    by = -s * rel_x + c * rel_y
     cg, sg = math.cos(gamma), math.sin(gamma)
     v_r = cg * bx + sg * by
     v_theta = -sg * bx + cg * by
@@ -295,9 +292,8 @@ def modified_vortex_strength(own: DynamicState, obs: ObstacleView, p: HarmonicPa
     (v_theta > -2 R_tol / separation * v_r) or lies abaft the 5 pi / 8
     bearing; otherwise f * K_vor0.
     """
-    gamma = bearing_gamma(own.pose, obs.position)
-    sep = math.hypot(obs.position[0] - own.pose.x, obs.position[1] - own.pose.y)
-    v_r, v_theta = radial_tangential(relative_velocity(own, obs), gamma, own.pose.psi)
+    sep, gamma = _range_bearing(own.pose, obs.position)
+    v_r, v_theta = radial_tangential(own, obs, gamma)
     if obs.encounter_class != ENCOUNTER_ACTIVE:
         if not _in_extremis(sep, v_r, v_theta, p):
             return 0.0
@@ -333,14 +329,6 @@ def boundary_source_velocity(pos: Vec2, ch: ChannelBoundary) -> Vec2:
         vx += mag * sign * (-t[1])
         vy += mag * sign * t[0]
     return (vx, vy)
-
-
-def reactive_active(own_pos: Vec2, obstacles: Sequence[ObstacleView], R_safe: float) -> bool:
-    """True when any obstacle center is within the detection radius."""
-    for ob in obstacles:
-        if math.hypot(ob.position[0] - own_pos[0], ob.position[1] - own_pos[1]) <= R_safe:
-            return True
-    return False
 
 
 def desired_heading_harmonic(

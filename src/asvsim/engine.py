@@ -4,10 +4,24 @@ Per step, in order for every agent: waypoint-switch check, guidance-mode
 arbitration (reactive supersedes path following inside the detection
 radius), desired heading from the active guidance law, PD rudder command,
 actuator integration, and RK4 integration of the vessel dynamics.  All
-agents advance simultaneously from a snapshot of the previous step, so the
-result is independent of agent ordering.  A run ends when every agent has
-captured its final waypoint, any pair breaches the collision threshold, or
-the time budget is exhausted.
+agents advance simultaneously from the state at the start of the step
+(guidance reads it, only integration writes it), so the result is
+independent of agent ordering.  A run ends when every agent has captured
+its final waypoint, any pair breaches the collision threshold, or the time
+budget is exhausted.
+
+Each step computes every ship-ship and ship-static distance exactly once,
+in the distance observation that opens it.  That pass keeps the collision
+and metric bookkeeping and also fills the step's distance table: for each
+agent, the ascending indices of the vessels and of the static obstacles
+within the detection radius.  Sensing reads the table instead of measuring
+again; its views come out in ascending index order (vessels, then statics),
+which fixes the order in which the guidance fields are summed.  Other
+per-step quantities are also built once, on first use, and dropped when
+integration moves the vessel: each vessel's obstacle view (its position and
+global velocity, from one cos/sin of its heading) and its ``DynamicState``.
+The active path segment's angle and its cos/sin are kept until the next
+waypoint switch.
 """
 
 from __future__ import annotations
@@ -27,7 +41,7 @@ from .guidance import (
     ilos_desired_heading,
     ilos_integrator_derivative,
     pd_rudder_command,
-    path_tangential_angle,
+    segment_frame,
     should_switch_waypoint,
     track_errors,
 )
@@ -166,7 +180,7 @@ class _AgentRuntime:
         "collided", "min_ship_distance", "min_static_clearance",
         "ce_int", "ye_int", "prev_abs_delta", "prev_abs_ye", "have_prev",
         "rows", "last_delta_c", "last_psi_d", "last_mode", "waypoints_reached",
-        "encounters", "vo_heading",
+        "encounters", "vo_heading", "frame", "state", "view",
     )
 
     def __init__(self, spec: AgentSpec, model: ShipModel):
@@ -180,6 +194,7 @@ class _AgentRuntime:
         self.r = 0.0
         self.delta = 0.0
         self.path = WaypointPath([spec.start, *spec.waypoints])
+        self.frame = segment_frame(*self.path.active_segment)
         self.y_int = 0.0
         self.done = False
         self.time_to_goal: Optional[float] = None
@@ -205,14 +220,31 @@ class _AgentRuntime:
         # velocity-obstacle evasive course, held until it becomes forbidden
         # or the vessel steers clear of all traffic
         self.vo_heading: Optional[float] = None
+        # built on first use in a step; integration clears them
+        self.state: Optional[DynamicState] = None
+        self.view: Optional[ObstacleView] = None
 
     def dynamic_state(self) -> DynamicState:
-        return DynamicState(
-            pose=Pose(self.x, self.y, self.psi),
-            nu=BodyVelocity(self.u, self.v, self.r),
-            delta=self.delta,
-            n_prop=self.n_prop,
-        )
+        """The vessel's current DynamicState (one object per step)."""
+        state = self.state
+        if state is None:
+            state = self.state = DynamicState(
+                pose=Pose(self.x, self.y, self.psi),
+                nu=BodyVelocity(self.u, self.v, self.r),
+                delta=self.delta,
+                n_prop=self.n_prop,
+            )
+        return state
+
+    def obstacle_view(self) -> ObstacleView:
+        """This vessel as a dynamic obstacle: position and global velocity."""
+        view = self.view
+        if view is None:
+            c, s = math.cos(self.psi), math.sin(self.psi)
+            view = self.view = ObstacleView((self.x, self.y),
+                                            (c * self.u - s * self.v, s * self.u + c * self.v),
+                                            True, 0.0)
+        return view
 
 
 class World:
@@ -237,12 +269,19 @@ class World:
         self.pair_distances: Dict[str, List[Tuple[float, float]]] = {}
         self.guidance_ns = 0
         self.guidance_calls = 0
+        self._statics = [(o.center[0], o.center[1], o.R_obs)
+                         for o in scenario.static_obstacles]
         self._static_views = [
             ObstacleView(position=o.center, velocity_global=(0.0, 0.0),
                          is_dynamic=False, radius=o.R_obs)
             for o in scenario.static_obstacles
         ]
         self._limits = self.model.limits
+        # the step's distance table, refilled by _observe_distances: per
+        # agent, ascending indices of the vessels / static obstacles within
+        # R_safe (the lists are reused from step to step)
+        self._near_ships: List[List[int]] = [[] for _ in self.agents]
+        self._near_statics: List[List[int]] = [[] for _ in self.agents]
 
     # ------------------------------------------------------------------
     def _observe_distances(self) -> None:
@@ -251,77 +290,100 @@ class World:
         Every sub-threshold pair marks both members as collided; the first
         such pair (lowest ids) is reported.  Under "all" termination any
         collision ends the run; under "own" only a collision involving the
-        own ship does.
+        own ship does.  Also fills the step's distance table that
+        :meth:`_views_in_range` reads.
         """
         ags = self.agents
         cfg = self.cfg
+        R_safe = cfg.R_safe
+        threshold = cfg.collision_threshold
+        record = self.record
+        hypot = math.hypot
+        statics = self._statics
         n = len(ags)
+        near_ships = self._near_ships
+        near_statics = self._near_statics
+        for i in range(n):
+            near_ships[i].clear()
+            near_statics[i].clear()
         for i in range(n):
             ai = ags[i]
+            xi, yi = ai.x, ai.y
             for j in range(i + 1, n):
                 aj = ags[j]
-                dist = math.hypot(aj.x - ai.x, aj.y - ai.y)
+                dist = hypot(aj.x - xi, aj.y - yi)
                 if dist < ai.min_ship_distance:
                     ai.min_ship_distance = dist
                 if dist < aj.min_ship_distance:
                     aj.min_ship_distance = dist
-                if self.record and dist <= cfg.R_safe:
-                    key = f"{ai.spec.id}-{aj.spec.id}"
-                    self.pair_distances.setdefault(key, []).append((self.t, dist))
-                if dist < cfg.collision_threshold:
+                if dist <= R_safe:
+                    near_ships[i].append(j)
+                    near_ships[j].append(i)
+                    if record:
+                        key = f"{ai.spec.id}-{aj.spec.id}"
+                        self.pair_distances.setdefault(key, []).append((self.t, dist))
+                if dist < threshold:
                     if self.collision_pair is None:
                         self.collision_pair = (str(ai.spec.id), str(aj.spec.id))
                     ai.collided = True
                     aj.collided = True
-            for k, obs in enumerate(self.scenario.static_obstacles):
-                dist = math.hypot(obs.center[0] - ai.x, obs.center[1] - ai.y)
-                clearance = dist - obs.R_obs
+            for k in range(len(statics)):
+                cx, cy, r_obs = statics[k]
+                dist = hypot(cx - xi, cy - yi)
+                clearance = dist - r_obs
                 if clearance < ai.min_static_clearance:
                     ai.min_static_clearance = clearance
-                if self.record and dist <= cfg.R_safe:
-                    key = f"{ai.spec.id}-s{k}"
-                    self.pair_distances.setdefault(key, []).append((self.t, dist))
-                if clearance < cfg.collision_threshold:
+                if dist <= R_safe:
+                    near_statics[i].append(k)
+                    if record:
+                        key = f"{ai.spec.id}-s{k}"
+                        self.pair_distances.setdefault(key, []).append((self.t, dist))
+                if clearance < threshold:
                     if self.collision_pair is None:
                         self.collision_pair = (str(ai.spec.id), f"static:{k}")
                     ai.collided = True
-        if self.cfg.termination == "own":
-            if self.agents[0].collided:
+        if cfg.termination == "own":
+            if ags[0].collided:
                 self.end_reason = "collision"
         elif self.collision_pair is not None:
             self.end_reason = "collision"
 
     # ------------------------------------------------------------------
-    def _guidance_and_control(self, snapshot) -> None:
-        """Compute commands for every agent from the snapshot, record rows,
-        accumulate metric integrals."""
-        cfg = self.cfg
+    def _guidance_and_control(self) -> None:
+        """Compute commands for every agent from the step's start state,
+        record rows, accumulate metric integrals."""
         scn = self.scenario
-        dt = cfg.dt
+        dt = self.cfg.dt
+        t = self.t
+        record = self.record
+        ilos = scn.ilos
+        R_tol = ilos.R_tol
+        gains = scn.gains
+        limits = self._limits
+        views_in_range = self._views_in_range
         for idx, ag in enumerate(self.agents):
-            sx, sy = snapshot[idx][0], snapshot[idx][1]
-            pos = (sx, sy)
+            pos = (ag.x, ag.y)
 
             if not ag.done:
-                if should_switch_waypoint(pos, ag.path.active_target, scn.ilos.R_tol):
+                if should_switch_waypoint(pos, ag.path.active_target, R_tol):
                     ag.waypoints_reached += 1
                     ag.y_int = 0.0
                     if ag.path.on_final_segment:
                         ag.done = True
-                        ag.time_to_goal = self.t
+                        ag.time_to_goal = t
                         ag.frozen_psi_d = ag.last_psi_d
                     else:
                         ag.path.k += 1
+                        ag.frame = segment_frame(*ag.path.active_segment)
 
-            wp_k, wp_k1 = ag.path.active_segment
-            x_e, y_e = track_errors(pos, wp_k, wp_k1)
+            x_e, y_e = track_errors(pos, ag.frame)
+            views = views_in_range(idx)
 
             if ag.done:
                 # after goal capture the vessel holds its course (constant
                 # RPM, no stopping) but keeps avoiding traffic; the sink is
                 # projected well ahead along the held course
                 hold = ag.frozen_psi_d if ag.frozen_psi_d is not None else ag.psi
-                views = self._views_in_range(idx, snapshot)
                 if views:
                     mode = MODE_REACTIVE
                     virtual_goal = (ag.x + 50.0 * math.cos(hold),
@@ -332,21 +394,18 @@ class World:
                     mode = MODE_ILOS
                     psi_d = hold
                     ag.vo_heading = None
+            elif views:
+                mode = MODE_REACTIVE
+                psi_d = self._reactive_heading(ag, views, ag.path.active_target)
+                ag.prev_psi_d = psi_d
             else:
-                views = self._views_in_range(idx, snapshot)
-                if views:
-                    mode = MODE_REACTIVE
-                    psi_d = self._reactive_heading(ag, views, ag.path.active_target)
-                    ag.prev_psi_d = psi_d
-                else:
-                    mode = MODE_ILOS
-                    pi_p = path_tangential_angle(wp_k, wp_k1)
-                    psi_d = ilos_desired_heading(pi_p, y_e, ag.y_int, scn.ilos)
-                    ag.y_int += dt * ilos_integrator_derivative(y_e, ag.y_int, scn.ilos)
-                    ag.prev_psi_d = psi_d
-                    ag.vo_heading = None
+                mode = MODE_ILOS
+                psi_d = ilos_desired_heading(ag.frame.angle, y_e, ag.y_int, ilos)
+                ag.y_int += dt * ilos_integrator_derivative(y_e, ag.y_int, ilos)
+                ag.prev_psi_d = psi_d
+                ag.vo_heading = None
 
-            delta_c = pd_rudder_command(ag.psi, psi_d, ag.r, scn.gains, self._limits)
+            delta_c = pd_rudder_command(ag.psi, psi_d, ag.r, gains, limits)
             ag.last_delta_c = delta_c
             ag.last_psi_d = psi_d
             ag.last_mode = mode
@@ -360,63 +419,71 @@ class World:
             ag.prev_abs_ye = abs_ye
             ag.have_prev = True
 
-            if self.record:
-                ag.rows.append((self.t, ag.x, ag.y, ag.psi, ag.u, ag.v, ag.r,
+            if record:
+                ag.rows.append((t, ag.x, ag.y, ag.psi, ag.u, ag.v, ag.r,
                                 ag.delta, delta_c, psi_d, mode, y_e))
 
-    def _views_in_range(self, idx: int, snapshot) -> List[ObstacleView]:
+    def _views_in_range(self, idx: int) -> List[ObstacleView]:
         """Obstacle views (other vessels + statics) within the detection
-        radius; dynamic targets carry their persistent encounter class."""
-        cfg = self.cfg
-        ag = self.agents[idx]
+        radius, read from the step's distance table; dynamic targets carry
+        their persistent encounter class."""
+        ags = self.agents
+        ag = ags[idx]
+        near = self._near_ships[idx]
+        encounters = ag.encounters
+        if encounters:
+            for jdx in [j for j in encounters if j not in near]:
+                del encounters[jdx]  # out of range: the pair is past and clear
         views: List[ObstacleView] = []
-        for jdx in range(len(self.agents)):
-            if jdx == idx:
-                continue
-            ox, oy, opsi, ou, ov, ovx, ovy = snapshot[jdx]
-            if math.hypot(ox - ag.x, oy - ag.y) <= cfg.R_safe:
-                view = ObstacleView(position=(ox, oy), velocity_global=(ovx, ovy),
-                                    is_dynamic=True, radius=0.0)
-                cls = ag.encounters.get(jdx)
-                if cls is None:
-                    cls = apf.classify_encounter(ag.dynamic_state(), view)
-                    ag.encounters[jdx] = cls
-                if cls != apf.ENCOUNTER_ACTIVE:
-                    view = replace(view, encounter_class=cls)
-                views.append(view)
-            else:
-                ag.encounters.pop(jdx, None)
-        for sv in self._static_views:
-            if math.hypot(sv.position[0] - ag.x, sv.position[1] - ag.y) <= cfg.R_safe:
-                views.append(sv)
+        for jdx in near:
+            view = ags[jdx].obstacle_view()
+            cls = encounters.get(jdx)
+            if cls is None:
+                cls = encounters[jdx] = apf.classify_encounter(ag.dynamic_state(), view)
+            if cls != apf.ENCOUNTER_ACTIVE:
+                view = ObstacleView(view.position, view.velocity_global, True, 0.0, cls)
+            views.append(view)
+        static_views = self._static_views
+        for k in self._near_statics[idx]:
+            views.append(static_views[k])
         return views
 
     def _reactive_heading(self, ag: _AgentRuntime, views: List[ObstacleView],
                           goal: Vec2) -> float:
-        """Dispatch to the agent's reactive guidance law, timing the call."""
+        """Dispatch to the agent's reactive guidance law, timing the call.
+
+        The clock covers the law's own call(s) only.  Their inputs (the
+        step's DynamicState, the VO target list) are per-step quantities
+        prepared before it starts: the DynamicState may already exist,
+        built by sensing to classify a new encounter, so timing its
+        construction would charge it to guidance in some steps only.
+        """
         scn = self.scenario
         method = ag.spec.method
-        t0 = time.perf_counter_ns()
-        if method == "apf_inverse":
-            psi_d = apf.desired_heading_inverse_square(
-                ag.dynamic_state(), goal, views, scn.inverse_params, ag.prev_psi_d)
-        elif method == "apf_mvortex" or method == "apf_sinkvortex":
-            psi_d = apf.desired_heading_harmonic(
-                ag.dynamic_state(), goal, views, scn.channel, scn.harmonic_params,
-                modified=(method == "apf_mvortex"), prev_psi_d=ag.prev_psi_d)
-        else:  # velocity_obstacle
+        if method == "velocity_obstacle":
             # the chosen evasive course is maintained until it stops being
             # admissible; it is dropped when the vessel steers clear of all
             # traffic (reactive mode ends)
             targets = [(v.position, v.velocity_global, v.radius) for v in views]
             speed = math.hypot(ag.u, ag.v)
             pos = (ag.x, ag.y)
+            t0 = time.perf_counter_ns()
             if ag.vo_heading is not None and vo.heading_admissible(
                     pos, speed, ag.vo_heading, targets, scn.vo_params):
                 psi_d = ag.vo_heading
             else:
-                psi_d = vo.vo_desired_heading(pos, speed, goal, targets, scn.vo_params)
-                ag.vo_heading = psi_d
+                psi_d = ag.vo_heading = vo.vo_desired_heading(
+                    pos, speed, goal, targets, scn.vo_params)
+        else:
+            own = ag.dynamic_state()
+            t0 = time.perf_counter_ns()
+            if method == "apf_inverse":
+                psi_d = apf.desired_heading_inverse_square(
+                    own, goal, views, scn.inverse_params, ag.prev_psi_d)
+            else:
+                psi_d = apf.desired_heading_harmonic(
+                    own, goal, views, scn.channel, scn.harmonic_params,
+                    modified=(method == "apf_mvortex"), prev_psi_d=ag.prev_psi_d)
         self.guidance_ns += time.perf_counter_ns() - t0
         self.guidance_calls += 1
         return wrap_angle(psi_d)
@@ -426,10 +493,13 @@ class World:
         dt = self.cfg.dt
         half = 0.5 * dt
         sixth = dt / 6.0
+        limits = self._limits
+        cap = limits.delta_max
+        u_cap = BodyVelocity.U_CAP
+        isfinite = math.isfinite
         for ag in self.agents:
-            raw = rudder_rate(ag.delta, ag.last_delta_c, self._limits)
+            raw = rudder_rate(ag.delta, ag.last_delta_c, limits)
             delta = ag.delta + dt * raw
-            cap = self._limits.delta_max
             if delta > cap:
                 delta = cap
             elif delta < -cap:
@@ -438,26 +508,28 @@ class World:
 
             d = ag.deriv
             x, y, psi, u, v, r = ag.x, ag.y, ag.psi, ag.u, ag.v, ag.r
-            k1 = d(x, y, psi, u, v, r, delta)
-            k2 = d(x + half * k1[0], y + half * k1[1], psi + half * k1[2],
-                   u + half * k1[3], v + half * k1[4], r + half * k1[5], delta)
-            k3 = d(x + half * k2[0], y + half * k2[1], psi + half * k2[2],
-                   u + half * k2[3], v + half * k2[4], r + half * k2[5], delta)
-            k4 = d(x + dt * k3[0], y + dt * k3[1], psi + dt * k3[2],
-                   u + dt * k3[3], v + dt * k3[4], r + dt * k3[5], delta)
-            ag.x = x + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-            ag.y = y + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-            ag.psi = wrap_angle(psi + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2]))
-            ag.u = u + sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
-            ag.v = v + sixth * (k1[4] + 2.0 * (k2[4] + k3[4]) + k4[4])
-            ag.r = r + sixth * (k1[5] + 2.0 * (k2[5] + k3[5]) + k4[5])
-            if not (math.isfinite(ag.x) and math.isfinite(ag.y) and math.isfinite(ag.u)
-                    and math.isfinite(ag.v) and math.isfinite(ag.r)):
+            x1, y1, p1, u1, v1, r1 = d(x, y, psi, u, v, r, delta)
+            x2, y2, p2, u2, v2, r2 = d(x + half * x1, y + half * y1, psi + half * p1,
+                                       u + half * u1, v + half * v1, r + half * r1, delta)
+            x3, y3, p3, u3, v3, r3 = d(x + half * x2, y + half * y2, psi + half * p2,
+                                       u + half * u2, v + half * v2, r + half * r2, delta)
+            x4, y4, p4, u4, v4, r4 = d(x + dt * x3, y + dt * y3, psi + dt * p3,
+                                       u + dt * u3, v + dt * v3, r + dt * r3, delta)
+            ag.x = x = x + sixth * (x1 + 2.0 * (x2 + x3) + x4)
+            ag.y = y = y + sixth * (y1 + 2.0 * (y2 + y3) + y4)
+            ag.psi = wrap_angle(psi + sixth * (p1 + 2.0 * (p2 + p3) + p4))
+            ag.u = u = u + sixth * (u1 + 2.0 * (u2 + u3) + u4)
+            ag.v = v = v + sixth * (v1 + 2.0 * (v2 + v3) + v4)
+            ag.r = r = r + sixth * (r1 + 2.0 * (r2 + r3) + r4)
+            ag.state = None
+            ag.view = None
+            if not (isfinite(x) and isfinite(y) and isfinite(u) and isfinite(v)
+                    and isfinite(r)):
                 raise SimulationError(
                     f"non-finite state for agent {ag.spec.id} at t'={self.t:.1f}")
-            if abs(ag.u) > BodyVelocity.U_CAP:
+            if abs(u) > u_cap:
                 raise SimulationError(
-                    f"surge runaway (|u|={abs(ag.u):.2f}) for agent {ag.spec.id} "
+                    f"surge runaway (|u|={abs(u):.2f}) for agent {ag.spec.id} "
                     f"at t'={self.t:.1f}")
 
     # ------------------------------------------------------------------
@@ -478,13 +550,7 @@ class World:
         if self.t >= self.cfg.max_time - 1e-9:
             self.end_reason = "timeout"
             return False
-        snapshot = [
-            (ag.x, ag.y, ag.psi, ag.u, ag.v,
-             math.cos(ag.psi) * ag.u - math.sin(ag.psi) * ag.v,
-             math.sin(ag.psi) * ag.u + math.cos(ag.psi) * ag.v)
-            for ag in self.agents
-        ]
-        self._guidance_and_control(snapshot)
+        self._guidance_and_control()
         self._integrate()
         self.step_index += 1
         self.t = self.step_index * self.cfg.dt
@@ -494,8 +560,7 @@ class World:
         """Close metric integrals and record the final state row."""
         dt = self.cfg.dt
         for ag in self.agents:
-            wp_k, wp_k1 = ag.path.active_segment
-            _, y_e = track_errors((ag.x, ag.y), wp_k, wp_k1)
+            _, y_e = track_errors((ag.x, ag.y), ag.frame)
             abs_delta = abs(ag.delta)
             abs_ye = abs(y_e)
             if ag.have_prev and self.step_index > 0:

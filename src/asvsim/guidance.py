@@ -9,8 +9,8 @@ wrapped heading error to a commanded rudder angle, clamped at 35 degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List
+from dataclasses import dataclass, field
+from typing import List, NamedTuple
 
 from .frames import Vec2, wrap_angle
 from .mmg import DELTA_MAX, ActuatorLimits
@@ -18,23 +18,23 @@ from .mmg import DELTA_MAX, ActuatorLimits
 
 @dataclass(frozen=True)
 class ILOSParams:
-    """Guidance parameters; defaults reproduce the reference tuning."""
+    """Guidance parameters; defaults reproduce the reference tuning.
+
+    The gains Kp_g = 1 / Delta and Ki_g = k_factor * Kp_g are derived once,
+    on construction.
+    """
 
     Delta: float = 2.0
     k_factor: float = 0.05
     R_tol: float = 3.0
+    Kp_g: float = field(init=False, repr=False, compare=False)
+    Ki_g: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.Delta <= 0.0 or self.R_tol <= 0.0:
             raise ValueError("Delta and R_tol must be > 0")
-
-    @property
-    def Kp_g(self) -> float:
-        return 1.0 / self.Delta
-
-    @property
-    def Ki_g(self) -> float:
-        return self.k_factor * self.Kp_g
+        object.__setattr__(self, "Kp_g", 1.0 / self.Delta)
+        object.__setattr__(self, "Ki_g", self.k_factor * self.Kp_g)
 
 
 @dataclass(frozen=True)
@@ -78,13 +78,6 @@ class WaypointPath:
         return self.k + 2 >= len(self.waypoints)
 
 
-@dataclass
-class ILOSState:
-    """Per-agent integrator state; reset to zero at every waypoint switch."""
-
-    y_int: float = 0.0
-
-
 def path_tangential_angle(wp_k: Vec2, wp_k1: Vec2) -> float:
     """Four-quadrant angle of the segment wp_k -> wp_k1."""
     dx = wp_k1[0] - wp_k[0]
@@ -94,12 +87,28 @@ def path_tangential_angle(wp_k: Vec2, wp_k1: Vec2) -> float:
     return math.atan2(dy, dx)
 
 
-def track_errors(pos: Vec2, wp_k: Vec2, wp_k1: Vec2) -> tuple:
-    """Along-track and cross-track errors (x_e, y_e) of pos w.r.t. the segment."""
+class SegmentFrame(NamedTuple):
+    """Path-fixed frame of one segment: its start point, its tangential angle
+    pi_p and that angle's cosine and sine.  Fixed while the segment is
+    active, so it is computed once per segment."""
+
+    origin: Vec2
+    angle: float
+    cos: float
+    sin: float
+
+
+def segment_frame(wp_k: Vec2, wp_k1: Vec2) -> SegmentFrame:
+    """Frame of the segment wp_k -> wp_k1."""
     pi_p = path_tangential_angle(wp_k, wp_k1)
-    rx = pos[0] - wp_k[0]
-    ry = pos[1] - wp_k[1]
-    c, s = math.cos(pi_p), math.sin(pi_p)
+    return SegmentFrame(wp_k, pi_p, math.cos(pi_p), math.sin(pi_p))
+
+
+def track_errors(pos: Vec2, frame: SegmentFrame) -> tuple:
+    """Along-track and cross-track errors (x_e, y_e) of pos w.r.t. the segment."""
+    rx = pos[0] - frame.origin[0]
+    ry = pos[1] - frame.origin[1]
+    c, s = frame.cos, frame.sin
     return (c * rx + s * ry, -s * rx + c * ry)
 
 

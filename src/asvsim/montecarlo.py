@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .apf import StaticObstacle
+from .apf import FieldSingularity, StaticObstacle
 from .engine import METHODS, AgentSpec, Scenario, SimConfig, SimulationError, run
 from .mmg import ShipModel
 
@@ -206,6 +206,10 @@ def _run_one(args: Tuple[EnvSpec, str, int, int]) -> dict:
 
     The record's ``timing_us`` entry is wall-clock dependent and must be
     stripped before any determinism comparison (see serialize.batch_summary).
+    A run that raises ``SimulationError`` (non-finite or runaway state) or
+    ``FieldSingularity`` (a field evaluated at its singular point, e.g. a
+    hull inside a static disc) ends in the ``error`` outcome, so one bad run
+    never aborts the batch.
     """
     env, method, master_seed, run_index = args
     global _WORKER_MODEL
@@ -220,7 +224,7 @@ def _run_one(args: Tuple[EnvSpec, str, int, int]) -> dict:
     }
     try:
         result = run(scenario, model=_WORKER_MODEL, record=False)
-    except SimulationError as exc:
+    except (SimulationError, FieldSingularity) as exc:
         record.update(outcome="error", error=str(exc), end_reason="error",
                       ce=None, mcte=None, time_to_goal=None,
                       min_ship_distance=None, t_end=None, n_steps=None)

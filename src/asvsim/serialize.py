@@ -302,20 +302,26 @@ def dumps_canonical(doc: dict) -> str:
 # trajectory CSV
 
 
+#: one CSV row: floats as repr (round-trip exact), ids and mode as integers;
+#: no field can contain a comma or quote, so nothing needs quoting
+_CSV_ROW = "%r,%d,%r,%r,%r,%r,%r,%r,%r,%r,%r,%d,%r\r\n"
+
+
 def write_trajectory_csv(result: SimResult, path: str) -> None:
+    """Write the trajectory CSV: a header, then one row per agent per step
+    (steps in time order, agents in id order), in the ``excel`` dialect
+    that ``read_trajectory_csv`` reads."""
     if result.trajectories is None:
         raise ValueError("run was executed without trajectory recording")
     agent_ids = [a.agent_id for a in result.agents]
+    trajectories = result.trajectories
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        n_rows = len(result.trajectories[0])
-        for k in range(n_rows):
-            for aid, rows in zip(agent_ids, result.trajectories):
-                t, x, y, psi, u, v, r, delta, delta_c, psi_d, mode, y_e = rows[k]
-                writer.writerow([repr(t), aid, repr(x), repr(y), repr(psi), repr(u),
-                                 repr(v), repr(r), repr(delta), repr(delta_c),
-                                 repr(psi_d), mode, repr(y_e)])
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        for k in range(len(trajectories[0])):
+            # one write per time step: as fast as one write per file, while
+            # memory does not grow with the run length
+            fh.write("".join([_CSV_ROW % ((rows[k][0], aid) + rows[k][1:])
+                              for aid, rows in zip(agent_ids, trajectories)]))
 
 
 def read_trajectory_csv(path: str) -> Dict[int, List[tuple]]:

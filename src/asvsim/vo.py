@@ -11,8 +11,8 @@ deterministic and biases ties toward small deviations and starboard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence, Tuple
 
 from .frames import Vec2
 
@@ -36,26 +36,32 @@ class CollisionCone:
     """Forbidden relative-velocity cone for one target.
 
     ``whole_plane`` marks targets already inside the combined radius, for
-    which every candidate is counted as violating.
+    which every candidate is counted as violating.  ``cos_half_angle`` is
+    derived once, on construction.
     """
 
     apex_velocity: Vec2
     axis: Vec2  # unit vector from own position toward the target
     half_angle: float
     whole_plane: bool = False
+    cos_half_angle: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cos_half_angle", math.cos(self.half_angle))
 
     def forbids(self, w: Vec2) -> bool:
         """True when own velocity w leads to collision with this target."""
         if self.whole_plane:
             return True
-        rx = w[0] - self.apex_velocity[0]
-        ry = w[1] - self.apex_velocity[1]
-        dot = rx * self.axis[0] + ry * self.axis[1]
+        apex = self.apex_velocity
+        rx = w[0] - apex[0]
+        ry = w[1] - apex[1]
+        axis = self.axis
+        dot = rx * axis[0] + ry * axis[1]
         if dot <= 0.0:
             return False
-        norm = math.hypot(rx, ry)
         # inside iff angle(w_rel, axis) < half_angle
-        return dot > norm * math.cos(self.half_angle)
+        return dot > math.hypot(rx, ry) * self.cos_half_angle
 
 
 def collision_cone(own_pos: Vec2, target_pos: Vec2, target_vel: Vec2,
@@ -73,15 +79,26 @@ def collision_cone(own_pos: Vec2, target_pos: Vec2, target_vel: Vec2,
     )
 
 
-def heading_admissible(own_pos: Vec2, own_speed: float, heading: float,
-                       targets: Sequence[Tuple[Vec2, Vec2, float]],
-                       p: VOParams) -> bool:
-    """True when sailing `heading` at the current speed clears every cone."""
-    w = (own_speed * math.cos(heading), own_speed * math.sin(heading))
+def _cones_in_range(own_pos: Vec2, targets: Sequence[Tuple[Vec2, Vec2, float]],
+                    p: VOParams) -> Iterator[CollisionCone]:
+    """Cones of the targets within R_safe, in target order, built lazily."""
     for pos, vel, radius in targets:
         if math.hypot(pos[0] - own_pos[0], pos[1] - own_pos[1]) > p.R_safe:
             continue
-        if collision_cone(own_pos, pos, vel, p.cone_radius + radius).forbids(w):
+        yield collision_cone(own_pos, pos, vel, p.cone_radius + radius)
+
+
+def heading_admissible(own_pos: Vec2, own_speed: float, heading: float,
+                       targets: Sequence[Tuple[Vec2, Vec2, float]],
+                       p: VOParams) -> bool:
+    """True when sailing `heading` at the current speed clears every cone.
+
+    Cones are built one at a time and the test stops at the first that
+    forbids the course.
+    """
+    w = (own_speed * math.cos(heading), own_speed * math.sin(heading))
+    for cone in _cones_in_range(own_pos, targets, p):
+        if cone.forbids(w):
             return False
     return True
 
@@ -100,31 +117,39 @@ def vo_desired_heading(
     +/- i*resolution with +i checked first, so exact ties resolve to
     starboard.  If no candidate clears every cone, the candidate violating
     the fewest cones (first in enumeration order) is returned.
+
+    Whole-plane cones are violated by every candidate, so they add the
+    same amount to every count and are left out of it: the first candidate
+    that violates no other cone wins at once.  A candidate's count stops as
+    soon as it reaches the best count so far, since it can then no longer
+    win.  Neither shortcut changes the result.
     """
     if own_speed <= 0.0:
         raise ValueError("own speed must be > 0 for the constant-speed search")
     goal_bearing = math.atan2(goal[1] - own_pos[1], goal[0] - own_pos[0])
-    cones = []
-    for pos, vel, radius in targets:
-        if math.hypot(pos[0] - own_pos[0], pos[1] - own_pos[1]) > p.R_safe:
-            continue
-        cones.append(collision_cone(own_pos, pos, vel, p.cone_radius + radius))
+    cones = list(_cones_in_range(own_pos, targets, p))
     if not cones:
         return goal_bearing
+    tests = [cone.forbids for cone in cones if not cone.whole_plane]
 
     n_steps = int(round(p.max_course_change / p.heading_resolution))
     best_heading = goal_bearing
-    best_violations = None
+    best_violations = len(tests) + 1  # worse than any candidate
     for i in range(0, n_steps + 1):
         offsets = (i * p.heading_resolution,) if i == 0 else (
             i * p.heading_resolution, -i * p.heading_resolution)
         for off in offsets:
             heading = goal_bearing + off
             w = (own_speed * math.cos(heading), own_speed * math.sin(heading))
-            violations = sum(1 for cone in cones if cone.forbids(w))
-            if violations == 0:
-                return heading
-            if best_violations is None or violations < best_violations:
+            violations = 0
+            for forbids in tests:
+                if forbids(w):
+                    violations += 1
+                    if violations >= best_violations:
+                        break
+            if violations < best_violations:
+                if violations == 0:
+                    return heading
                 best_violations = violations
                 best_heading = heading
     return best_heading

@@ -13,7 +13,6 @@ from asvsim.apf import (
     HarmonicParams,
     InverseSquareParams,
     ObstacleView,
-    StaticObstacle,
     bearing_gamma,
     boundary_source_velocity,
     classify_encounter,
@@ -21,10 +20,7 @@ from asvsim.apf import (
     desired_heading_inverse_square,
     inverse_square_gradient,
     modified_vortex_strength,
-    obstacle_clearance,
     radial_tangential,
-    reactive_active,
-    relative_velocity,
     sink_velocity,
     vortex_scale_factor,
     vortex_velocity,
@@ -48,25 +44,6 @@ def dynamic_view(pos, vel, encounter=ENCOUNTER_ACTIVE):
 def static_view(pos, radius=0.5):
     return ObstacleView(position=pos, velocity_global=(0.0, 0.0), is_dynamic=False,
                         radius=radius)
-
-
-class TestClearance:
-    def test_three_four_five(self):
-        assert obstacle_clearance((0, 0), StaticObstacle((3, 4), 1.0)) == pytest.approx(4.0)
-
-    def test_on_boundary_flagged(self):
-        with pytest.raises(FieldSingularity):
-            obstacle_clearance((0, 0), StaticObstacle((1, 0), 1.0))
-
-    @given(x=st.floats(-20, 20), y=st.floats(-20, 20))
-    def test_matches_euclidean(self, x, y):
-        obs = StaticObstacle((3.0, -2.0), 0.5)
-        d = math.sqrt((x - 3.0) ** 2 + (y + 2.0) ** 2)
-        if d - 0.5 <= 0:
-            with pytest.raises(FieldSingularity):
-                obstacle_clearance((x, y), obs)
-        else:
-            assert obstacle_clearance((x, y), obs) == pytest.approx(d - 0.5)
 
 
 def potential(pos, goal, obstacles, p):
@@ -197,41 +174,55 @@ class TestBearingAndRelativeVelocity:
         with pytest.raises(FieldSingularity):
             bearing_gamma(Pose(1, 1, 0), (1, 1))
 
+    # with psi = 0 and the obstacle dead ahead (gamma = 0) the line-of-sight
+    # components are the global-frame relative velocity itself
+
     def test_static_form(self):
-        v = relative_velocity(own_state(u=1.0, psi=0.0), static_view((5, 0)))
+        v = radial_tangential(own_state(u=1.0, psi=0.0), static_view((5, 0)), 0.0)
         assert v == pytest.approx((-1.0, 0.0))
 
     def test_identical_velocities(self):
         own = own_state(u=1.0)
         obs = dynamic_view((5, 0), (1.0, 0.0))
-        assert relative_velocity(own, obs) == pytest.approx((0.0, 0.0))
+        assert radial_tangential(own, obs, 0.0) == pytest.approx((0.0, 0.0))
 
     def test_head_on_closing(self):
         own = own_state(u=1.0, psi=0.0)
         obs = dynamic_view((10, 0), (-1.0, 0.0))
-        assert relative_velocity(own, obs) == pytest.approx((-2.0, 0.0))
+        assert radial_tangential(own, obs, 0.0) == pytest.approx((-2.0, 0.0))
 
 
 class TestRadialTangential:
     def test_head_on_closing(self):
-        v_r, v_th = radial_tangential((-2.0, 0.0), 0.0, 0.0)
+        own = own_state(u=1.0, psi=0.0)
+        v_r, v_th = radial_tangential(own, dynamic_view((10.0, 0.0), (-1.0, 0.0)), 0.0)
         assert v_r == pytest.approx(-2.0)
         assert v_th == pytest.approx(0.0)
 
     def test_pure_tangential_crossing(self):
-        v_r, v_th = radial_tangential((0.0, 1.5), 0.0, 0.0)
+        own = own_state(u=0.0, psi=0.0)
+        v_r, v_th = radial_tangential(own, dynamic_view((10.0, 0.0), (0.0, 1.5)), 0.0)
         assert v_r == pytest.approx(0.0)
         assert v_th == pytest.approx(1.5)
 
-    @given(vx=st.floats(-2, 2), vy=st.floats(-2, 2),
-           gamma=st.floats(-math.pi, math.pi), psi=st.floats(-math.pi, math.pi))
+    @given(vx=st.floats(-2, 2), vy=st.floats(-2, 2), u=st.floats(0, 1.2),
+           v=st.floats(-0.3, 0.3), gamma=st.floats(-math.pi, math.pi),
+           psi=st.floats(-math.pi, math.pi), dynamic=st.booleans())
     @settings(max_examples=80)
-    def test_matches_rotation_composition(self, vx, vy, gamma, psi):
+    def test_matches_rotation_composition(self, vx, vy, u, v, gamma, psi, dynamic):
+        # V_rel = V_obs - R(psi) nu (V_obs = 0 for a static obstacle), seen
+        # from the body frame rotated by the bearing gamma
         def rot(a):
             return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
 
-        expected = rot(gamma).T @ rot(psi).T @ np.array([vx, vy])
-        v_r, v_th = radial_tangential((vx, vy), gamma, psi)
+        own = own_state(psi=psi, u=u, v=v)
+        if dynamic:
+            obs, v_obs = dynamic_view((10.0, 0.0), (vx, vy)), np.array([vx, vy])
+        else:
+            obs, v_obs = static_view((10.0, 0.0)), np.zeros(2)
+        v_rel = v_obs - rot(own.pose.psi) @ np.array([u, v])
+        expected = rot(gamma).T @ rot(own.pose.psi).T @ v_rel
+        v_r, v_th = radial_tangential(own, obs, gamma)
         assert v_r == pytest.approx(expected[0], abs=1e-12)
         assert v_th == pytest.approx(expected[1], abs=1e-12)
 
@@ -400,10 +391,3 @@ class TestDesiredHeadings:
                                              p, prev_psi_d=0.7)
         assert out == 0.7
 
-
-class TestReactiveActivation:
-    def test_outside_radius(self):
-        assert not reactive_active((0, 0), [static_view((15.1, 0.0))], 15.0)
-
-    def test_inside_radius(self):
-        assert reactive_active((0, 0), [static_view((14.9, 0.0))], 15.0)

@@ -14,6 +14,7 @@ from asvsim.guidance import (
     ilos_integrator_derivative,
     path_tangential_angle,
     pd_rudder_command,
+    segment_frame,
     should_switch_waypoint,
     track_errors,
 )
@@ -39,10 +40,10 @@ class TestPathTangentialAngle:
 
 class TestTrackErrors:
     def test_on_path_midpoint(self):
-        assert track_errors((5, 0), (0, 0), (10, 0)) == pytest.approx((5.0, 0.0))
+        assert track_errors((5, 0), segment_frame((0, 0), (10, 0))) == pytest.approx((5.0, 0.0))
 
     def test_axis_aligned_offset(self):
-        assert track_errors((5, 2), (0, 0), (10, 0)) == pytest.approx((5.0, 2.0))
+        assert track_errors((5, 2), segment_frame((0, 0), (10, 0))) == pytest.approx((5.0, 2.0))
 
     def test_matches_projection_oracle(self):
         # brute-force projection of (pos - wp_k) onto the segment direction
@@ -52,7 +53,7 @@ class TestTrackErrors:
         n_hat = np.array([-t_hat[1], t_hat[0]])
         r = np.array(pos) - np.array(a)
         expected = (float(r @ t_hat), float(r @ n_hat))
-        assert track_errors(pos, a, b) == pytest.approx(expected)
+        assert track_errors(pos, segment_frame(a, b)) == pytest.approx(expected)
 
 
 class TestILOS:
@@ -147,17 +148,16 @@ class TestClosedLoop:
         ilos, gains, limits = ILOSParams(), PDGains(), model.limits
         n_prop = model.self_propulsion_rpm(1.0)
         deriv = model.make_derivative(n_prop)
-        wp_k, wp_k1 = (0.0, 0.0), (60.0, 0.0)
+        frame = segment_frame((0.0, 0.0), (60.0, 0.0))
         x, y, psi, u, v, r, delta = 0.0, 5.0, 0.0, 1.0, 0.0, 0.0, 0.0
         y_int = 0.0
         dt = 0.1
         series = []
         for k in range(800):
             t = k * dt
-            x_e, y_e = track_errors((x, y), wp_k, wp_k1)
+            x_e, y_e = track_errors((x, y), frame)
             series.append((t, y_e))
-            pi_p = path_tangential_angle(wp_k, wp_k1)
-            psi_d = ilos_desired_heading(pi_p, y_e, y_int, ilos)
+            psi_d = ilos_desired_heading(frame.angle, y_e, y_int, ilos)
             y_int += dt * ilos_integrator_derivative(y_e, y_int, ilos)
             delta_c = pd_rudder_command(psi, psi_d, r, gains, limits)
             delta = max(-limits.delta_max,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from asvsim import montecarlo
+from asvsim.apf import FieldSingularity
 from asvsim.montecarlo import (
     ENVIRONMENTS,
     AggregateStats,
@@ -106,17 +107,22 @@ class TestBatch:
             calls["n"] += 1
             if calls["n"] == 2:
                 raise montecarlo.SimulationError("injected failure")
+            if calls["n"] == 3:
+                raise FieldSingularity("injected singularity")
             return real_run(*args, **kwargs)
 
         real_run = montecarlo.run
         monkeypatch.setattr(montecarlo, "run", flaky)
-        spec = BatchSpec(env=EnvSpec.by_id(1), method="apf_mvortex", n_runs=3,
+        spec = BatchSpec(env=EnvSpec.by_id(1), method="apf_mvortex", n_runs=4,
                          master_seed=3, jobs=1)
         records = run_batch(spec)
-        assert len(records) == 3
-        assert records[1]["outcome"] == "error"
+        assert len(records) == 4
+        assert [r["outcome"] == "error" for r in records] == [False, True, True, False]
+        assert records[1]["error"] == "injected failure"
+        assert records[2]["error"] == "injected singularity"
+        assert records[2]["end_reason"] == "error" and records[2]["ce"] is None
         agg = aggregate(records)
-        assert agg.n_errors == 1
+        assert agg.n_errors == 2
 
 
 class TestAggregation:

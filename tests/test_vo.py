@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asvsim.vo import VOParams, collision_cone, heading_admissible, vo_desired_heading
 
@@ -88,3 +89,110 @@ class TestHeadingAdmissible:
         chosen = vo_desired_heading((0, 0), 1.0, (30, 0), targets, p)
         assert heading_admissible((0, 0), 1.0, chosen, targets, p)
         assert not heading_admissible((0, 0), 1.0, 0.0, targets, p)
+
+
+# ---------------------------------------------------------------------------
+# equivalence with a plain reference search
+
+
+def reference_cones(own_pos, targets, p):
+    return [collision_cone(own_pos, pos, vel, p.cone_radius + radius)
+            for pos, vel, radius in targets
+            if math.hypot(pos[0] - own_pos[0], pos[1] - own_pos[1]) <= p.R_safe]
+
+
+def reference_violations(cones, speed, heading):
+    w = (speed * math.cos(heading), speed * math.sin(heading))
+    return sum(1 for cone in cones if cone.forbids(w))
+
+
+def reference_search(own_pos, speed, goal, targets, p):
+    """Count every cone for every candidate; first zero, else first fewest."""
+    goal_bearing = math.atan2(goal[1] - own_pos[1], goal[0] - own_pos[0])
+    cones = reference_cones(own_pos, targets, p)
+    if not cones:
+        return goal_bearing
+    n_steps = int(round(p.max_course_change / p.heading_resolution))
+    best_heading, best_violations = goal_bearing, None
+    for i in range(n_steps + 1):
+        offsets = (i * p.heading_resolution,) if i == 0 else (
+            i * p.heading_resolution, -i * p.heading_resolution)
+        for off in offsets:
+            heading = goal_bearing + off
+            violations = reference_violations(cones, speed, heading)
+            if violations == 0:
+                return heading
+            if best_violations is None or violations < best_violations:
+                best_violations, best_heading = violations, heading
+    return best_heading
+
+
+def reference_admissible(own_pos, speed, heading, targets, p):
+    return reference_violations(reference_cones(own_pos, targets, p), speed, heading) == 0
+
+
+coord = st.floats(-16.0, 16.0)
+target = st.tuples(st.tuples(coord, coord),
+                   st.tuples(st.floats(-1.2, 1.2), st.floats(-1.2, 1.2)),
+                   st.sampled_from([0.0, 0.5]))
+params = st.builds(
+    VOParams,
+    cone_radius=st.floats(1.0, 8.0),
+    heading_resolution=st.sampled_from([math.radians(1.0), math.radians(2.0),
+                                        math.radians(5.0)]),
+    max_course_change=st.sampled_from([math.radians(30.0), math.radians(90.0),
+                                       math.radians(180.0)]),
+    R_safe=st.floats(5.0, 20.0),
+)
+
+
+@st.composite
+def scenes(draw):
+    """Own ship at the origin heading for a goal on the +x axis.  Targets are
+    random (targets within the combined radius give whole-plane cones,
+    crowds force the fewest-violations fallback); mirroring them about the
+    goal line makes every +i/-i candidate pair tie, so the starboard
+    tie-break decides."""
+    targets = draw(st.lists(target, max_size=8))
+    if draw(st.booleans()):
+        targets += [((x, -y), (vx, -vy), r) for (x, y), (vx, vy), r in targets]
+    return (draw(st.floats(0.1, 1.2)), (draw(st.floats(20.0, 60.0)), 0.0), targets,
+            draw(params))
+
+
+class TestMatchesReference:
+    @given(scene=scenes(), heading=st.floats(-math.pi, math.pi))
+    @settings(max_examples=300, deadline=None)
+    def test_search_and_admissibility_match_reference(self, scene, heading):
+        speed, goal, targets, p = scene
+        chosen = vo_desired_heading((0.0, 0.0), speed, goal, targets, p)
+        assert chosen == reference_search((0.0, 0.0), speed, goal, targets, p)
+        for h in (heading, chosen):
+            assert (heading_admissible((0.0, 0.0), speed, h, targets, p)
+                    == reference_admissible((0.0, 0.0), speed, h, targets, p))
+
+    def test_whole_plane_cones_with_fallback(self):
+        # two hulls inside the cone radius forbid everything; a third cone
+        # ahead leaves the fallback to the first candidate clear of it
+        p = VOParams(cone_radius=2.0)
+        targets = [((1.0, 0.5), (0.0, 0.0), 0.0), ((-1.0, -1.0), (0.3, 0.0), 0.0),
+                   ((10.0, 0.0), (0.0, 0.0), 0.0)]
+        cones = reference_cones((0.0, 0.0), targets, p)
+        assert sum(c.whole_plane for c in cones) == 2
+        chosen = vo_desired_heading((0.0, 0.0), 1.0, (30.0, 0.0), targets, p)
+        assert chosen == reference_search((0.0, 0.0), 1.0, (30.0, 0.0), targets, p)
+        assert reference_violations(cones, 1.0, chosen) == 2
+        assert reference_violations(cones, 1.0, 0.0) == 3
+        assert chosen > 0.0  # the starboard side of the tie
+
+    def test_fewest_violations_fallback_without_whole_plane(self):
+        # a ring of moving targets leaves no clear candidate
+        p = VOParams(cone_radius=4.0, max_course_change=math.radians(90.0))
+        targets = [((10.0 * math.cos(a), 10.0 * math.sin(a)),
+                    (-0.6 * math.cos(a), -0.6 * math.sin(a)), 0.0)
+                   for a in [math.radians(d) for d in range(-90, 91, 30)]]
+        cones = reference_cones((0.0, 0.0), targets, p)
+        assert not any(c.whole_plane for c in cones)
+        chosen = vo_desired_heading((0.0, 0.0), 1.0, (30.0, 0.0), targets, p)
+        assert chosen == reference_search((0.0, 0.0), 1.0, (30.0, 0.0), targets, p)
+        assert reference_violations(cones, 1.0, chosen) > 0
