@@ -8,7 +8,7 @@ harness (montecarlo), and file/plot/CLI surfaces (serialize, plots, cli).
 
 __version__ = "0.1.0"
 
-from .frames import BodyVelocity, Pose, Vec2, body_to_global, rk4_step, rotation_matrix, wrap_angle
+from .frames import BodyVelocity, Pose, Vec2, wrap_angle
 from .mmg import (
     ActuatorLimits,
     DynamicState,
@@ -28,9 +28,6 @@ __all__ = [
     "ShipModel",
     "ShipParams",
     "Vec2",
-    "body_to_global",
-    "rk4_step",
-    "rotation_matrix",
     "wrap_angle",
     "__version__",
 ]

@@ -103,7 +103,7 @@ def cmd_compare(args) -> int:
             for m in methods
         },
         "success_rate_deltas": {
-            k.replace("apf_", "").replace("velocity_obstacle", "vo"): v
+            "-".join(serialize.METHOD_SHORT[m] for m in k.split("-")): v
             for k, v in cmp["success_rate_deltas"].items()
         },
         "records": {

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import apf, vo
 from .apf import ChannelBoundary, HarmonicParams, InverseSquareParams, ObstacleView, StaticObstacle
@@ -616,50 +616,3 @@ def run(scenario: Scenario, model: Optional[ShipModel] = None,
     while world.step():
         pass
     return world.result()
-
-
-def detect_collision(world: World, threshold: float) -> Optional[Tuple[str, str]]:
-    """First pair (lowest ids) closer than the threshold in the current state.
-
-    Ship-ship pairs use center distance; ship-static pairs use center
-    distance minus the obstacle radius.
-    """
-    ags = world.agents
-    for i in range(len(ags)):
-        for j in range(i + 1, len(ags)):
-            if math.hypot(ags[j].x - ags[i].x, ags[j].y - ags[i].y) < threshold:
-                return (str(ags[i].spec.id), str(ags[j].spec.id))
-        for k, obs in enumerate(world.scenario.static_obstacles):
-            dist = math.hypot(obs.center[0] - ags[i].x, obs.center[1] - ags[i].y)
-            if dist - obs.R_obs < threshold:
-                return (str(ags[i].spec.id), f"static:{k}")
-    return None
-
-
-def controller_effort(rows: Sequence[tuple], delta_max: float | None = None) -> float:
-    """CE = integral of |delta| over the run, normalized by delta_max * T."""
-    if not rows:
-        raise ValueError("empty trajectory")
-    from .mmg import DELTA_MAX
-
-    dmax = delta_max if delta_max is not None else DELTA_MAX
-    if len(rows) == 1:
-        return abs(rows[0][7]) / dmax
-    acc = 0.0
-    for a, b in zip(rows, rows[1:]):
-        acc += 0.5 * (abs(a[7]) + abs(b[7])) * (b[0] - a[0])
-    T = rows[-1][0] - rows[0][0]
-    return acc / (dmax * T)
-
-
-def mean_cross_track_error(rows: Sequence[tuple]) -> float:
-    """MCTE = integral of |y_e| over the run divided by T, in ship lengths."""
-    if not rows:
-        raise ValueError("empty trajectory")
-    if len(rows) == 1:
-        return abs(rows[0][11])
-    acc = 0.0
-    for a, b in zip(rows, rows[1:]):
-        acc += 0.5 * (abs(a[11]) + abs(b[11])) * (b[0] - a[0])
-    T = rows[-1][0] - rows[0][0]
-    return acc / T

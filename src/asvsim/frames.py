@@ -1,4 +1,4 @@
-"""Coordinate frames, angle arithmetic and a fixed-step RK4 integrator.
+"""Coordinate frames, poses and angle arithmetic.
 
 Conventions used throughout the package:
 
@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
-
-import numpy as np
+from typing import Tuple
 
 Vec2 = Tuple[float, float]
 
@@ -57,33 +55,3 @@ class BodyVelocity:
 
     # Cap on |u| used by the engine to catch integrator blow-up.
     U_CAP = 2.0
-
-
-def rotation_matrix(psi: float) -> np.ndarray:
-    """3x3 rotation taking body-frame vectors (u, v, r) to the global frame."""
-    c, s = math.cos(psi), math.sin(psi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def body_to_global(pose: Pose, nu: BodyVelocity) -> Tuple[float, float, float]:
-    """Kinematics: global-frame velocity (x_dot, y_dot, psi_dot) of a pose."""
-    c, s = math.cos(pose.psi), math.sin(pose.psi)
-    return (c * nu.u - s * nu.v, s * nu.u + c * nu.v, nu.r)
-
-
-def rk4_step(f: Callable[[np.ndarray], np.ndarray], s: np.ndarray, dt: float) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step of ds/dt = f(s).
-
-    Raises ValueError if any stage derivative is non-finite.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    s = np.asarray(s, dtype=float)
-    k1 = np.asarray(f(s), dtype=float)
-    k2 = np.asarray(f(s + 0.5 * dt * k1), dtype=float)
-    k3 = np.asarray(f(s + 0.5 * dt * k2), dtype=float)
-    k4 = np.asarray(f(s + dt * k3), dtype=float)
-    for k in (k1, k2, k3, k4):
-        if not np.all(np.isfinite(k)):
-            raise ValueError("non-finite derivative in RK4 stage")
-    return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -7,6 +7,11 @@ in the prime-II system: forces by 0.5*rho*U^2*L*d, moments by
 values live in a versioned JSON file (see data/kcs_coeffs.json); the
 propeller revolution rate n is kept dimensional (rev/s) because the advance
 ratio is formed from dimensional quantities.
+
+The force model and the equations of motion are written once, in the
+closure that ``ShipModel.make_derivative`` returns.  ``propeller_force``
+serves only the self-propulsion search, which balances it against the
+straight-run hull resistance.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Tuple
 
-from .frames import BodyVelocity, Pose, wrap_angle
+from .frames import BodyVelocity, Pose
 
 DELTA_MAX = math.radians(35.0)
 
@@ -162,44 +167,6 @@ class DynamicState:
 _EPS_SPEED = 1e-9
 
 
-def hull_forces(nu: BodyVelocity, c: HydroCoeffs) -> Tuple[float, float, float]:
-    """Hull polynomial forces (X_H, Y_H, N_H), non-dimensional.
-
-    Y_H and N_H are odd under (v, r) -> (-v, -r); X_H is even.
-    """
-    u, v, r = nu.u, nu.v, nu.r
-    Ut = math.hypot(u, v)
-    if Ut < _EPS_SPEED:
-        return 0.0, 0.0, 0.0
-    vd = v / Ut
-    rd = r / Ut
-    scale = Ut * Ut
-    X_H = scale * (
-        -c.R_0
-        + c.X_vv * vd * vd
-        + c.X_vr * vd * rd
-        + c.X_rr * rd * rd
-        + c.X_vvvv * vd ** 4
-    )
-    Y_H = scale * (
-        c.Y_v * vd
-        + c.Y_r * rd
-        + c.Y_vvv * vd ** 3
-        + c.Y_vvr * vd * vd * rd
-        + c.Y_vrr * vd * rd * rd
-        + c.Y_rrr * rd ** 3
-    )
-    N_H = scale * (
-        c.N_v * vd
-        + c.N_r * rd
-        + c.N_vvv * vd ** 3
-        + c.N_vvr * vd * vd * rd
-        + c.N_vrr * vd * rd * rd
-        + c.N_rrr * rd ** 3
-    )
-    return X_H, Y_H, N_H
-
-
 def _advance_ratio(u: float, n_prop: float, c: HydroCoeffs) -> float:
     return (1.0 - c.w_p0) * u * c.U_des / (n_prop * c.D_p)
 
@@ -215,78 +182,6 @@ def propeller_force(u: float, n_prop: float, c: HydroCoeffs) -> float:
     thrust = c.rho_w * n_prop ** 2 * c.D_p ** 4 * K_T
     norm = 0.5 * c.rho_w * c.U_des ** 2 * c.L * c.d_em
     return (1.0 - c.t_p) * thrust / norm
-
-
-def rudder_forces(
-    nu: BodyVelocity, delta: float, n_prop: float, c: HydroCoeffs
-) -> Tuple[float, float, float]:
-    """Rudder forces (X_R, Y_R, N_R) from the MMG normal-force formulation."""
-    u, v, r = nu.u, nu.v, nu.r
-    Ut = math.hypot(u, v)
-    if Ut < _EPS_SPEED:
-        beta = 0.0
-        rd = 0.0
-    else:
-        beta = math.atan2(-v, u)
-        rd = r / Ut
-    beta_R = beta - c.l_R_nd * rd
-    v_R = Ut * c.gamma_R * beta_R
-    if n_prop > 0.0 and u > 0.0:
-        J = max(_advance_ratio(u, n_prop, c), 1e-9)
-        K_T = c.k_0 + c.k_1 * J + c.k_2 * J * J
-        race = 1.0 + 8.0 * max(K_T, 0.0) / (math.pi * J * J)
-        u_R = (
-            u
-            * (1.0 - c.w_p0)
-            * c.epsilon
-            * math.sqrt(
-                c.eta * (1.0 + c.kappa * (math.sqrt(race) - 1.0)) ** 2 + (1.0 - c.eta)
-            )
-        )
-    else:
-        u_R = 0.0
-    U_R_sq = u_R * u_R + v_R * v_R
-    alpha_R = delta - math.atan2(v_R, u_R) if U_R_sq > 0.0 else delta
-    F_N = (c.A_R / (c.L * c.d_em)) * c.f_alpha * U_R_sq * math.sin(alpha_R)
-    cd = math.cos(delta)
-    X_R = -(1.0 - c.t_R) * F_N * math.sin(delta)
-    Y_R = -(1.0 + c.a_H) * F_N * cd
-    N_R = -(c.x_R_nd + c.a_H * c.x_H_nd) * F_N * cd
-    return X_R, Y_R, N_R
-
-
-def total_forces(state: DynamicState, c: HydroCoeffs) -> Tuple[float, float, float]:
-    """Sum of hull, rudder and propeller contributions."""
-    X_H, Y_H, N_H = hull_forces(state.nu, c)
-    X_R, Y_R, N_R = rudder_forces(state.nu, state.delta, state.n_prop, c)
-    X_P = propeller_force(state.nu.u, state.n_prop, c)
-    return X_H + X_R + X_P, Y_H + Y_R, N_H + N_R
-
-
-def state_derivative(
-    state: DynamicState, c: HydroCoeffs, mass: MassParams
-) -> Tuple[float, float, float, float, float, float]:
-    """Time derivative of (x, y, psi, u, v, r).
-
-    Surge uses the decoupled equation; (v_dot, r_dot) solve the 2x2
-    sway-yaw system with matrix [[m+m_y, m*x_G], [m*x_G, I_zz+J_zz]].
-    """
-    X, Y, N = total_forces(state, c)
-    u, v, r = state.nu.u, state.nu.v, state.nu.r
-    m, x_G = mass.m, mass.x_G
-    u_dot = (X + m * v * r + m * x_G * r * r) / (m + mass.m_x)
-    rhs_Y = Y - m * u * r
-    rhs_N = N - m * x_G * u * r
-    a = m + mass.m_y
-    b = m * x_G
-    d = mass.I_zz + mass.J_zz
-    det = a * d - b * b
-    if det <= 0.0:
-        raise CoefficientError("sway-yaw mass matrix is singular")
-    v_dot = (d * rhs_Y - b * rhs_N) / det
-    r_dot = (-b * rhs_Y + a * rhs_N) / det
-    c_psi, s_psi = math.cos(state.pose.psi), math.sin(state.pose.psi)
-    return (c_psi * u - s_psi * v, s_psi * u + c_psi * v, r, u_dot, v_dot, r_dot)
 
 
 def rudder_rate(delta: float, delta_c: float, limits: ActuatorLimits) -> float:
@@ -305,7 +200,7 @@ def self_propulsion_rpm(target_u: float, c: HydroCoeffs, tol: float = 1e-8) -> f
     """
     if not 0.0 < target_u <= 1.2:
         raise ValueError(f"target_u must be in (0, 1.2], got {target_u}")
-    X_H = hull_forces(BodyVelocity(target_u, 0.0, 0.0), c)[0]
+    X_H = (target_u * target_u) * -c.R_0  # hull resistance at v = r = 0
 
     def residual(n: float) -> float:
         return propeller_force(target_u, n, c) + X_H
@@ -407,10 +302,15 @@ class ShipModel:
         return self_propulsion_rpm(target_u, self.coeffs)
 
     def make_derivative(self, n_prop: float):
-        """Fast closure d(x, y, psi, u, v, r, delta) -> 6 derivatives.
+        """The vessel dynamics: closure d(x, y, psi, u, v, r, delta) -> 6 derivatives.
 
-        Same math as state_derivative with all coefficients bound to locals;
-        used by the simulation hot loop.
+        This is the one force model: hull polynomial, propeller thrust and
+        rudder normal force summed per the MMG decomposition; surge uses the
+        decoupled equation, (v_dot, r_dot) solve the 2x2 sway-yaw system
+        [[m+m_y, m*x_G], [m*x_G, I_zz+J_zz]], and the kinematics rotate the
+        body velocities into the global frame.  Every coefficient is bound
+        to a local, since the RK4 of the simulation loop calls it four
+        times per vessel-step.
         """
         c = self.coeffs
         mass = self.mass

@@ -14,13 +14,15 @@ import csv
 import json
 import math
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .apf import ChannelBoundary, HarmonicParams, InverseSquareParams, StaticObstacle
 from .engine import METHODS, AgentSpec, Scenario, SimConfig, SimResult
 from .guidance import ILOSParams, PDGains
-from .montecarlo import AggregateStats
 from .vo import VOParams
+
+if TYPE_CHECKING:  # annotations only: montecarlo pulls in numpy
+    from .montecarlo import AggregateStats
 
 SCENARIO_SCHEMA_VERSION = "scenario-1"
 RESULT_SCHEMA_VERSION = "result-1"

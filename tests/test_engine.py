@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+import asvsim
 from asvsim import scenarios
 from asvsim.apf import StaticObstacle
 from asvsim.engine import (
@@ -12,9 +16,6 @@ from asvsim.engine import (
     Scenario,
     SimConfig,
     World,
-    controller_effort,
-    detect_collision,
-    mean_cross_track_error,
     run,
 )
 from asvsim.frames import wrap_angle
@@ -93,28 +94,46 @@ class TestDeterminismAndInvariance:
 
 
 class TestCollisionDetection:
-    def _world_with_gap(self, model, gap):
+    """The first step's distance observation, which opens every step."""
+
+    def _first_step(self, model, scenario):
+        world = World(scenario, model=model)
+        return world, world.step()
+
+    def _ships_with_gap(self, gap):
         a = AgentSpec(id=0, start=(0, 0), heading=0.0, speed=1.0, waypoints=((60, 0),))
         b = AgentSpec(id=1, start=(gap, 0), heading=0.0, speed=1.0, waypoints=((60, gap),))
-        return World(Scenario(agents=[a, b]), model=model)
+        return Scenario(agents=[a, b])
 
     def test_below_threshold(self, model):
-        world = self._world_with_gap(model, 1.99)
-        assert detect_collision(world, 2.0) == ("0", "1")
+        world, stepped = self._first_step(model, self._ships_with_gap(1.99))
+        assert not stepped
+        assert world.collision_pair == ("0", "1")
+        assert world.end_reason == "collision"
+        # a run that ends before its first step still closes its metrics
+        res = world.result()
+        assert res.outcomes == ["collision", "collision"]
+        assert [(a.ce, a.mcte) for a in res.agents] == [(0.0, 0.0), (0.0, 0.0)]
 
     def test_exactly_at_threshold_is_safe(self, model):
-        world = self._world_with_gap(model, 2.0)
-        assert detect_collision(world, 2.0) is None
+        world, stepped = self._first_step(model, self._ships_with_gap(2.0))
+        assert stepped
+        assert world.collision_pair is None and world.end_reason is None
 
     def test_no_pairs(self, model):
-        world = self._world_with_gap(model, 30.0)
-        assert detect_collision(world, 2.0) is None
+        world, stepped = self._first_step(model, self._ships_with_gap(30.0))
+        assert stepped
+        assert world.collision_pair is None and world.end_reason is None
 
     def test_static_uses_clearance(self, model):
+        # ship-static pairs compare the clearance (center distance minus the
+        # obstacle radius) with the same strict threshold
         a = AgentSpec(id=0, start=(0, 0), heading=0.0, speed=1.0, waypoints=((60, 0),))
-        sc = Scenario(agents=[a], static_obstacles=[StaticObstacle((2.4, 0.0), 0.5)])
-        world = World(sc, model=model)
-        assert detect_collision(world, 2.0) == ("0", "static:0")
+        for radius, pair in [(0.5, ("0", "static:0")), (0.4, None)]:
+            sc = Scenario(agents=[a], static_obstacles=[StaticObstacle((2.4, 0.0), radius)])
+            world, stepped = self._first_step(model, sc)
+            assert world.collision_pair == pair
+            assert stepped == (pair is None)
 
     def test_run_ends_on_collision(self, model):
         res = run(scenarios.head_on("apf_inverse"), model=model, record=False)
@@ -123,30 +142,43 @@ class TestCollisionDetection:
         assert res.outcomes == ["collision", "collision"]
 
 
+def trapezoid_mean(rows, col):
+    """Trapezoid integral of |rows[col]| over t, divided by the run's length."""
+    acc = sum(0.5 * (abs(a[col]) + abs(b[col])) * (b[0] - a[0])
+              for a, b in zip(rows, rows[1:]))
+    return acc / (rows[-1][0] - rows[0][0])
+
+
 class TestMetrics:
-    def _rows(self, deltas, y_es, dt=0.1):
-        return [(k * dt, 0, 0, 0, 1, 0, 0, d, d, 0, 0, y)
-                for k, (d, y) in enumerate(zip(deltas, y_es))]
+    """CE and MCTE as the engine accumulates them, against the recorded rows."""
 
-    def test_ce_saturated(self):
-        rows = self._rows([DELTA_35] * 101, [0.0] * 101)
-        assert controller_effort(rows) == pytest.approx(1.0)
+    def _straight_run(self, model):
+        agent = AgentSpec(id=0, start=(0, 0), heading=0.0, speed=1.0,
+                          waypoints=((60.0, 0.0),))
+        return run(Scenario(agents=[agent]), model=model, record=True).agents[0]
 
-    def test_ce_zero(self):
-        rows = self._rows([0.0] * 101, [0.0] * 101)
-        assert controller_effort(rows) == 0.0
+    def test_ce_saturated(self, model):
+        # the goal lies astern: the rudder is driven hard over and held there
+        agent = AgentSpec(id=0, start=(0, 0), heading=0.0, speed=1.0,
+                          waypoints=((-60.0, 10.0),))
+        res = run(Scenario(agents=[agent], config=SimConfig(max_time=10.0)),
+                  model=model, record=True)
+        ce = res.agents[0].ce
+        assert ce == pytest.approx(trapezoid_mean(res.trajectories[0], 7) / DELTA_35,
+                                   rel=1e-9)
+        assert 0.85 < ce <= 1.0
 
-    def test_mcte_constant_offset(self):
-        rows = self._rows([0.0] * 101, [1.0] * 101)
-        assert mean_cross_track_error(rows) == pytest.approx(1.0)
+    def test_ce_zero(self, model):
+        assert self._straight_run(model).ce == 0.0
 
-    def test_mcte_zero_on_path(self):
-        rows = self._rows([0.0] * 101, [0.0] * 101)
-        assert mean_cross_track_error(rows) == 0.0
+    def test_mcte_matches_recorded_rows(self, model, head_on_result):
+        for agent, rows in zip(head_on_result.agents, head_on_result.trajectories):
+            assert agent.mcte > 0.0
+            assert agent.mcte == pytest.approx(trapezoid_mean(rows, 11), rel=1e-9)
+            assert agent.ce == pytest.approx(trapezoid_mean(rows, 7) / DELTA_35, rel=1e-9)
 
-    def test_empty_trajectory_rejected(self):
-        with pytest.raises(ValueError):
-            controller_effort([])
+    def test_mcte_zero_on_path(self, model):
+        assert self._straight_run(model).mcte == 0.0
 
 
 class TestOutcomes:
@@ -207,3 +239,13 @@ class TestScenarioValidation:
     def test_with_method_override(self):
         sc = scenarios.head_on("apf_mvortex").with_method("velocity_obstacle")
         assert all(a.method == "velocity_obstacle" for a in sc.agents)
+
+
+def test_simulation_path_imports_without_numpy():
+    # scenario parsing, simulation and result writing need no numpy; only
+    # the Monte Carlo harness does
+    code = ("import sys, asvsim.engine, asvsim.scenarios, asvsim.serialize; "
+            "assert 'numpy' not in sys.modules, 'numpy imported'")
+    src = os.path.dirname(os.path.dirname(asvsim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -6,89 +6,120 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asvsim.frames import BodyVelocity, Pose
+from asvsim.engine import AgentSpec, Scenario, SimConfig, World
+from asvsim.frames import BodyVelocity, Pose, wrap_angle
 from asvsim.mmg import (
     ActuatorLimits,
     CoefficientError,
     DynamicState,
     MassParams,
     ShipModel,
-    hull_forces,
     propeller_force,
-    rudder_forces,
     rudder_rate,
     self_propulsion_rpm,
-    state_derivative,
-    total_forces,
 )
 
 DELTA_35 = math.radians(35.0)
 
 
-def straight_state(model, u=1.0, delta=0.0, n=None):
-    if n is None:
-        n = model.self_propulsion_rpm(u)
-    return DynamicState(pose=Pose(0, 0, 0), nu=BodyVelocity(u, 0.0, 0.0),
-                        delta=delta, n_prop=n)
-
-
-def simulate_openloop(model, n_prop, delta_fn, t_end, dt=0.1, state=None):
-    """Fixed-rudder RK4 rollout used by the oracle tests."""
-    d = model.make_derivative(n_prop)
-    x, y, psi, u, v, r = state if state is not None else (0, 0, 0, 1.0, 0, 0)
+def simulate_openloop(model, n_prop, delta_fn, t_end, dt=0.1, u0=1.0):
+    """Fixed-rudder rollout of one vessel through the engine's integrator."""
+    agent = AgentSpec(id=0, start=(0.0, 0.0), heading=0.0, speed=u0,
+                      waypoints=((1000.0, 0.0),))
+    world = World(Scenario(agents=[agent], config=SimConfig(dt=dt)), model=model)
+    ag = world.agents[0]
+    ag.deriv = model.make_derivative(n_prop)
     rows = []
-    n = int(round(t_end / dt))
-    for k in range(n):
-        delta = delta_fn(k * dt)
-        k1 = d(x, y, psi, u, v, r, delta)
-        k2 = d(x + 0.05 * k1[0], y + 0.05 * k1[1], psi + 0.05 * k1[2],
-               u + 0.05 * k1[3], v + 0.05 * k1[4], r + 0.05 * k1[5], delta)
-        k3 = d(x + 0.05 * k2[0], y + 0.05 * k2[1], psi + 0.05 * k2[2],
-               u + 0.05 * k2[3], v + 0.05 * k2[4], r + 0.05 * k2[5], delta)
-        k4 = d(x + 0.1 * k3[0], y + 0.1 * k3[1], psi + 0.1 * k3[2],
-               u + 0.1 * k3[3], v + 0.1 * k3[4], r + 0.1 * k3[5], delta)
-        x += dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        y += dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        psi += dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        u += dt / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-        v += dt / 6 * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
-        r += dt / 6 * (k1[5] + 2 * k2[5] + 2 * k3[5] + k4[5])
-        rows.append((k * dt, x, y, psi, u, v, r))
+    for k in range(int(round(t_end / dt))):
+        ag.delta = ag.last_delta_c = delta_fn(k * dt)
+        world._integrate()
+        rows.append((k * dt, ag.x, ag.y, ag.psi, ag.u, ag.v, ag.r))
     return rows
+
+
+def oracle_derivative(doc, n, psi, u, v, r, delta):
+    """Independent oracle: the full MMG derivative evaluated term by term
+    from the raw JSON document, the sway-yaw system solved by numpy.
+    Valid for u > 0 and n > 0."""
+    h, pr, rd, ship, ms = doc["hull"], doc["propeller"], doc["rudder"], doc["ship"], doc["mass"]
+    Ut = math.hypot(u, v)
+    vd, rr = v / Ut, r / Ut
+    X_H = Ut ** 2 * (-h["R_0"] + h["X_vv"] * vd ** 2 + h["X_vr"] * vd * rr
+                     + h["X_rr"] * rr ** 2 + h["X_vvvv"] * vd ** 4)
+    Y_H = Ut ** 2 * (h["Y_v"] * vd + h["Y_r"] * rr + h["Y_vvv"] * vd ** 3
+                     + h["Y_vvr"] * vd ** 2 * rr + h["Y_vrr"] * vd * rr ** 2
+                     + h["Y_rrr"] * rr ** 3)
+    N_H = Ut ** 2 * (h["N_v"] * vd + h["N_r"] * rr + h["N_vvv"] * vd ** 3
+                     + h["N_vvr"] * vd ** 2 * rr + h["N_vrr"] * vd * rr ** 2
+                     + h["N_rrr"] * rr ** 3)
+    J = (1 - pr["w_p0"]) * u * ship["U_des"] / (n * pr["D_p"])
+    K_T = pr["k_0"] + pr["k_1"] * J + pr["k_2"] * J ** 2
+    X_P = ((1 - pr["t_p"]) * ship["rho_w"] * n ** 2 * pr["D_p"] ** 4 * K_T
+           / (0.5 * ship["rho_w"] * ship["U_des"] ** 2 * ship["L"] * ship["d_em"]))
+    u_R = (u * (1 - pr["w_p0"]) * rd["epsilon"] * math.sqrt(
+        rd["eta"] * (1 + rd["kappa"] * (math.sqrt(1 + 8 * K_T / (math.pi * J ** 2)) - 1)) ** 2
+        + (1 - rd["eta"])))
+    v_R = Ut * rd["gamma_R"] * (math.atan2(-v, u) - rd["l_R_nd"] * rr)
+    F_N = ((rd["A_R"] / (ship["L"] * ship["d_em"])) * rd["f_alpha"]
+           * (u_R ** 2 + v_R ** 2) * math.sin(delta - math.atan2(v_R, u_R)))
+    X_R = -(1 - rd["t_R"]) * F_N * math.sin(delta)
+    Y_R = -(1 + rd["a_H"]) * F_N * math.cos(delta)
+    N_R = -(rd["x_R_nd"] + rd["a_H"] * rd["x_H_nd"]) * F_N * math.cos(delta)
+    m, x_G = ms["m"], ship["x_G_nd"]
+    u_dot = (X_H + X_R + X_P + m * v * r + m * x_G * r ** 2) / (m + ms["m_x"])
+    A = np.array([[m + ms["m_y"], m * x_G], [m * x_G, ms["I_zz"] + ms["J_zz"]]])
+    v_dot, r_dot = np.linalg.solve(A, [Y_H + Y_R - m * u * r, N_H + N_R - m * x_G * u * r])
+    return (math.cos(psi) * u - math.sin(psi) * v, math.sin(psi) * u + math.cos(psi) * v,
+            r, u_dot, float(v_dot), float(r_dot))
+
+
+def body_forces(model, n, u, v, r, delta):
+    """(X, Y, N) recovered from the derivative by undoing the inertia terms."""
+    m = model.mass
+    d = model.make_derivative(n)(0.0, 0.0, 0.0, u, v, r, delta)
+    X = d[3] * (m.m + m.m_x) - m.m * v * r - m.m * m.x_G * r * r
+    Y = (m.m + m.m_y) * d[4] + m.m * m.x_G * d[5] + m.m * u * r
+    N = m.m * m.x_G * d[4] + (m.I_zz + m.J_zz) * d[5] + m.m * m.x_G * u * r
+    return np.array([X, Y, N])
+
+
+def variant(model, hull=True, rudder=True):
+    """The model with its hull polynomial and/or rudder normal force zeroed."""
+    doc = copy.deepcopy(model.doc)
+    if not hull:
+        for k in doc["hull"]:
+            doc["hull"][k] = 0.0
+    if not rudder:
+        doc["rudder"]["f_alpha"] = 0.0
+    return ShipModel(doc)
 
 
 class TestHullForces:
     def test_straight_run_symmetry(self, model):
-        X, Y, N = hull_forces(BodyVelocity(1.0, 0.0, 0.0), model.coeffs)
-        assert Y == 0.0 and N == 0.0
-        assert X < 0.0  # straight-line resistance opposes u > 0
+        # no propeller: at v = r = 0 the rudder sees no inflow, so only the
+        # hull acts, with resistance opposing u > 0 and no side force
+        m = model.mass
+        d = model.make_derivative(0.0)(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+        assert d[4] == 0.0 and d[5] == 0.0
+        assert d[3] * (m.m + m.m_x) == pytest.approx(-model.coeffs.R_0, rel=1e-15)
 
-    @given(u=st.floats(0.2, 1.2), v=st.floats(-0.5, 0.5), r=st.floats(-0.5, 0.5))
-    @settings(max_examples=60, deadline=None)
-    def test_odd_symmetry(self, model, u, v, r):
-        X1, Y1, N1 = hull_forces(BodyVelocity(u, v, r), model.coeffs)
-        X2, Y2, N2 = hull_forces(BodyVelocity(u, -v, -r), model.coeffs)
-        assert X1 == pytest.approx(X2, abs=1e-15)
-        assert Y1 == pytest.approx(-Y2, abs=1e-15)
-        assert N1 == pytest.approx(-N2, abs=1e-15)
+    @given(u=st.floats(0.2, 1.2), v=st.floats(-0.5, 0.5), r=st.floats(-0.5, 0.5),
+           delta=st.floats(-DELTA_35, DELTA_35), psi=st.floats(-math.pi, math.pi),
+           y=st.floats(-50.0, 50.0))
+    @settings(max_examples=100, deadline=None)
+    def test_odd_symmetry(self, model, u, v, r, delta, psi, y):
+        # mirror about the x-axis: the hull forces are odd in (v, r) and
+        # the rudder force is odd in delta, so the derivative mirrors exactly
+        d = model.make_derivative(1.7)
+        a = d(3.0, y, psi, u, v, r, delta)
+        b = d(3.0, -y, -psi, u, -v, -r, -delta)
+        assert b == (a[0], -a[1], -a[2], a[3], -a[4], -a[5])
 
     def test_matches_independent_polynomial(self, model):
-        # independent oracle: evaluate the shipped coefficient polynomial
-        # directly from the raw JSON document
-        h = model.doc["hull"]
         for u, v, r in [(1.0, 0.05, 0.0), (0.8, -0.1, 0.2), (1.1, 0.2, -0.3)]:
-            Ut = math.hypot(u, v)
-            vd, rd = v / Ut, r / Ut
-            X_exp = Ut ** 2 * (-h["R_0"] + h["X_vv"] * vd ** 2 + h["X_vr"] * vd * rd
-                               + h["X_rr"] * rd ** 2 + h["X_vvvv"] * vd ** 4)
-            Y_exp = Ut ** 2 * (h["Y_v"] * vd + h["Y_r"] * rd + h["Y_vvv"] * vd ** 3
-                               + h["Y_vvr"] * vd ** 2 * rd + h["Y_vrr"] * vd * rd ** 2
-                               + h["Y_rrr"] * rd ** 3)
-            N_exp = Ut ** 2 * (h["N_v"] * vd + h["N_r"] * rd + h["N_vvv"] * vd ** 3
-                               + h["N_vvr"] * vd ** 2 * rd + h["N_vrr"] * vd * rd ** 2
-                               + h["N_rrr"] * rd ** 3)
-            X, Y, N = hull_forces(BodyVelocity(u, v, r), model.coeffs)
-            assert (X, Y, N) == pytest.approx((X_exp, Y_exp, N_exp), rel=1e-14)
+            out = model.make_derivative(1.7)(0.0, 0.0, 0.0, u, v, r, 0.0)
+            expected = oracle_derivative(model.doc, 1.7, 0.0, u, v, r, 0.0)
+            assert out == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
 class TestPropeller:
@@ -98,8 +129,18 @@ class TestPropeller:
     def test_self_propulsion_residual(self, model):
         n = self_propulsion_rpm(1.0, model.coeffs)
         X_P = propeller_force(1.0, n, model.coeffs)
-        X_H = hull_forces(BodyVelocity(1.0, 0.0, 0.0), model.coeffs)[0]
-        assert abs(X_P + X_H) < 1e-6
+        assert abs(X_P - model.doc["hull"]["R_0"]) < 1e-6
+
+    def test_deriv_thrust_matches_propeller_force(self, model):
+        # the self-propulsion search and the simulated dynamics use two
+        # thrust expressions; on a straight run they must agree
+        c, m = model.coeffs, model.mass
+        for u in np.linspace(0.1, 1.2, 12):
+            for n in np.linspace(0.0, 4.0, 17):
+                d = model.make_derivative(n)(0.0, 0.0, 0.0, u, 0.0, 0.0, 0.0)
+                X_P, X_H = propeller_force(u, n, c), (u * u) * -c.R_0
+                assert d[3] * (m.m + m.m_x) == pytest.approx(
+                    X_P + X_H, rel=1e-12, abs=1e-12 * (abs(X_P) + abs(X_H)))
 
     def test_monotone_in_revolutions(self, model):
         # operating range around the self-propulsion point (J below ~1)
@@ -114,8 +155,7 @@ class TestPropeller:
     @pytest.mark.parametrize("target", [1.0, 0.5])
     def test_forward_simulation_holds_speed(self, model, target):
         n = model.self_propulsion_rpm(target)
-        rows = simulate_openloop(model, n, lambda t: 0.0, 200.0,
-                                 state=(0, 0, 0, target, 0, 0))
+        rows = simulate_openloop(model, n, lambda t: 0.0, 200.0, u0=target)
         assert abs(rows[-1][4] - target) < 0.01
 
     def test_negative_revolutions_rejected(self, model):
@@ -125,57 +165,42 @@ class TestPropeller:
 
 class TestRudder:
     def test_zero_deflection(self, model):
-        X, Y, N = rudder_forces(BodyVelocity(1.0, 0.0, 0.0), 0.0, 1.7, model.coeffs)
-        assert Y == 0.0 and N == 0.0
-
-    @given(delta=st.floats(-DELTA_35, DELTA_35))
-    @settings(max_examples=40, deadline=None)
-    def test_lateral_antisymmetry(self, model, delta):
-        nu = BodyVelocity(1.0, 0.0, 0.0)
-        X1, Y1, N1 = rudder_forces(nu, delta, 1.7, model.coeffs)
-        X2, Y2, N2 = rudder_forces(nu, -delta, 1.7, model.coeffs)
-        assert X1 == pytest.approx(X2, abs=1e-15)
-        assert Y1 == pytest.approx(-Y2, abs=1e-15)
-        assert N1 == pytest.approx(-N2, abs=1e-15)
+        d = model.make_derivative(1.7)(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+        assert d[4] == 0.0 and d[5] == 0.0
 
     def test_matches_independent_formula(self, model):
-        # oracle: the rudder normal-force model evaluated from raw JSON
-        doc = model.doc
-        rd, pr, ship = doc["rudder"], doc["propeller"], doc["ship"]
+        # the rudder normal-force model in the propeller race
         u, delta, n = 1.0, math.radians(20.0), 1.7
-        J = (1 - pr["w_p0"]) * u * ship["U_des"] / (n * pr["D_p"])
-        K_T = pr["k_0"] + pr["k_1"] * J + pr["k_2"] * J ** 2
-        u_R = (u * (1 - pr["w_p0"]) * rd["epsilon"] * math.sqrt(
-            rd["eta"] * (1 + rd["kappa"] * (math.sqrt(1 + 8 * K_T / (math.pi * J ** 2)) - 1)) ** 2
-            + (1 - rd["eta"])))
-        F_N = (rd["A_R"] / (ship["L"] * ship["d_em"])) * rd["f_alpha"] * u_R ** 2 * math.sin(delta)
-        expected = (-(1 - rd["t_R"]) * F_N * math.sin(delta),
-                    -(1 + rd["a_H"]) * F_N * math.cos(delta),
-                    -(rd["x_R_nd"] + rd["a_H"] * rd["x_H_nd"]) * F_N * math.cos(delta))
-        out = rudder_forces(BodyVelocity(u, 0.0, 0.0), delta, n, model.coeffs)
-        assert out == pytest.approx(expected, rel=1e-12)
+        out = model.make_derivative(n)(0.0, 0.0, 0.0, u, 0.0, 0.0, delta)
+        expected = oracle_derivative(model.doc, n, 0.0, u, 0.0, 0.0, delta)
+        assert out == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
     def test_positive_rudder_turns_starboard(self, model):
-        # positive deflection must yield a positive yaw moment (psi increases)
-        _, _, N = rudder_forces(BodyVelocity(1.0, 0.0, 0.0), math.radians(10), 1.7,
-                                model.coeffs)
-        assert N > 0.0
+        # positive deflection must yield a positive yaw acceleration (psi increases)
+        d = model.make_derivative(1.7)(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, math.radians(10))
+        assert d[5] > 0.0
 
 
 class TestTotalForcesAndDerivative:
     def test_components_sum_exactly(self, model):
-        state = straight_state(model, delta=math.radians(5.0))
-        X, Y, N = total_forces(state, model.coeffs)
-        X_H, Y_H, N_H = hull_forces(state.nu, model.coeffs)
-        X_R, Y_R, N_R = rudder_forces(state.nu, state.delta, state.n_prop, model.coeffs)
-        X_P = propeller_force(state.nu.u, state.n_prop, model.coeffs)
-        assert X == X_H + X_R + X_P
-        assert Y == Y_H + Y_R
-        assert N == N_H + N_R
+        # X = X_H + X_R + X_P, Y = Y_H + Y_R, N = N_H + N_R: zeroing the hull
+        # and/or rudder coefficients isolates each part (the propeller acts
+        # alone when both are zeroed).  The sum inside deriv is exact; undoing
+        # the inertia terms to recover forces costs a few ulps.
+        no_hull, no_rudder = variant(model, hull=False), variant(model, rudder=False)
+        prop_only = variant(model, hull=False, rudder=False)
+        for u, v, r, delta in [(1.0, 0.0, 0.0, math.radians(5.0)),
+                               (0.8, -0.1, 0.2, math.radians(-20.0)),
+                               (1.1, 0.2, -0.3, math.radians(30.0))]:
+            args = (1.7, u, v, r, delta)
+            full = body_forces(model, *args)
+            parts = (body_forces(no_hull, *args) + body_forces(no_rudder, *args)
+                     - body_forces(prop_only, *args))
+            assert full == pytest.approx(parts, rel=1e-12, abs=1e-14)
 
     def test_steady_straight_run(self, model):
-        state = straight_state(model)
-        d = state_derivative(state, model.coeffs, model.mass)
+        d = model.make_derivative(model.self_propulsion_rpm(1.0))(
+            0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
         assert d[0] == pytest.approx(1.0)           # x_dot = u
         assert abs(d[1]) < 1e-12 and abs(d[2]) < 1e-12
         assert abs(d[3]) < 1e-6                     # self-propulsion balance
@@ -193,39 +218,26 @@ class TestTotalForcesAndDerivative:
         zero = ShipModel(doc)
         m, m_x, x_G = zero.mass.m, zero.mass.m_x, zero.mass.x_G
         u, v, r = 1.0, 0.0, 0.1
-        state = DynamicState(pose=Pose(0, 0, 0), nu=BodyVelocity(u, v, r),
-                             delta=0.0, n_prop=1.7)
-        d = state_derivative(state, zero.coeffs, zero.mass)
+        d = zero.make_derivative(1.7)(0.0, 0.0, 0.0, u, v, r, 0.0)
         assert d[3] == pytest.approx((m * v * r + m * x_G * r ** 2) / (m + m_x), rel=1e-12)
 
     def test_sway_yaw_solve_matches_matrix_inverse(self, model):
         rng = np.random.default_rng(3)
-        m = model.mass
-        A = np.array([[m.m + m.m_y, m.m * m.x_G],
-                      [m.m * m.x_G, m.I_zz + m.J_zz]])
+        d = model.make_derivative(1.7)
         for _ in range(100):
             u, v, r = rng.uniform(0.3, 1.2), rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)
-            delta = rng.uniform(-DELTA_35, DELTA_35)
-            state = DynamicState(pose=Pose(0, 0, 0), nu=BodyVelocity(u, v, r),
-                                 delta=delta, n_prop=1.7)
-            _, Y, N = total_forces(state, model.coeffs)
-            rhs = np.array([Y - m.m * u * r, N - m.m * m.x_G * u * r])
-            expected = np.linalg.solve(A, rhs)
-            d = state_derivative(state, model.coeffs, model.mass)
-            assert abs(d[4] - expected[0]) < 1e-12
-            assert abs(d[5] - expected[1]) < 1e-12
+            delta, psi = rng.uniform(-DELTA_35, DELTA_35), rng.uniform(-math.pi, math.pi)
+            out = d(0.0, 0.0, psi, u, v, r, delta)
+            expected = oracle_derivative(model.doc, 1.7, psi, u, v, r, delta)
+            assert out == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_translation_invariance_and_heading_equivariance(self, model):
-        nu = BodyVelocity(1.0, 0.1, -0.05)
-        delta, n = math.radians(7.0), 1.7
-        base = state_derivative(DynamicState(Pose(0, 0, 0), nu, delta, n),
-                                model.coeffs, model.mass)
-        moved = state_derivative(DynamicState(Pose(55.0, -3.0, 0), nu, delta, n),
-                                 model.coeffs, model.mass)
-        assert moved == base
+        d = model.make_derivative(1.7)
+        u, v, r, delta = 1.0, 0.1, -0.05, math.radians(7.0)
+        base = d(0.0, 0.0, 0.0, u, v, r, delta)
+        assert d(55.0, -3.0, 0.0, u, v, r, delta) == base
         psi = 0.9
-        rot = state_derivative(DynamicState(Pose(0, 0, psi), nu, delta, n),
-                               model.coeffs, model.mass)
+        rot = d(0.0, 0.0, psi, u, v, r, delta)
         c, s = math.cos(psi), math.sin(psi)
         assert rot[0] == pytest.approx(c * base[0] - s * base[1], abs=1e-14)
         assert rot[1] == pytest.approx(s * base[0] + c * base[1], abs=1e-14)
@@ -260,7 +272,7 @@ class TestVesselBehavior:
         for (_, x1, y1, p1, u1, v1, r1), (_, x2, y2, p2, u2, v2, r2) in zip(stbd, port):
             assert abs(x1 - x2) < 1e-9
             assert abs(y1 + y2) < 1e-9
-            assert abs(p1 + p2) < 1e-9
+            assert abs(wrap_angle(p1 + p2)) < 1e-9
             assert abs(u1 - u2) < 1e-9
             assert abs(v1 + v2) < 1e-9
             assert abs(r1 + r2) < 1e-9
@@ -272,7 +284,7 @@ class TestVesselBehavior:
         prev = 0.0
         tactical = None
         for _, x, y, psi, u, v, r in rows:
-            unwrapped += psi - prev
+            unwrapped += wrap_angle(psi - prev)
             prev = psi
             if tactical is None and unwrapped >= math.pi:
                 tactical = y

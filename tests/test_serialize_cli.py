@@ -221,6 +221,7 @@ class TestCLI:
         assert code == 0
         doc = json.loads((tmp_path / "comparison.json").read_text())
         assert set(doc["methods"]) == {"mvortex", "inverse"}
+        assert set(doc["success_rate_deltas"]) == {"mvortex-inverse"}
 
 
 @pytest.fixture(scope="module")
