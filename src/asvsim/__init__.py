@@ -8,10 +8,9 @@ harness (montecarlo), and file/plot/CLI surfaces (serialize, plots, cli).
 
 __version__ = "0.1.0"
 
-from .frames import BodyVelocity, Pose, Vec2, wrap_angle
+from .frames import Vec2, wrap_angle
 from .mmg import (
     ActuatorLimits,
-    DynamicState,
     HydroCoeffs,
     MassParams,
     ShipModel,
@@ -20,11 +19,8 @@ from .mmg import (
 
 __all__ = [
     "ActuatorLimits",
-    "BodyVelocity",
-    "DynamicState",
     "HydroCoeffs",
     "MassParams",
-    "Pose",
     "ShipModel",
     "ShipParams",
     "Vec2",

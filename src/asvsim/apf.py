@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .frames import Vec2, wrap_angle
-from .mmg import DynamicState
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,10 +34,22 @@ class FieldSingularity(ValueError):
     """Raised when a field is evaluated at its singular point."""
 
 
+class OwnShip(NamedTuple):
+    """The own-ship quantities the guidance fields read: position (L),
+    heading psi (rad) and body-frame surge u and sway v.  The engine passes
+    its per-agent state, which carries the same attributes."""
+
+    x: float
+    y: float
+    psi: float
+    u: float
+    v: float
+
+
 @dataclass(frozen=True)
 class StaticObstacle:
     center: Vec2
-    R_obs: float
+    R_obs: float = 0.5
 
     def __post_init__(self):
         if self.R_obs <= 0.0:
@@ -84,7 +95,6 @@ class InverseSquareParams:
 class HarmonicParams:
     Lambda_sink: float = -100.0
     K_vor0: float = -10.0
-    R_safe: float = 15.0
     R_tol_vortex: float = 3.0
     # range inside which a stand-on/overtaken vessel abandons its passive
     # duty when the give-way ship has evidently failed to act
@@ -93,8 +103,6 @@ class HarmonicParams:
     def __post_init__(self):
         if self.Lambda_sink >= 0.0:
             raise ValueError("Lambda_sink must be < 0 (sink)")
-        if self.R_safe <= 0.0:
-            raise ValueError("R_safe must be > 0")
 
 
 @dataclass(frozen=True)
@@ -196,23 +204,23 @@ def vortex_velocity(pos: Vec2, center: Vec2, K: float) -> Vec2:
     return (-coef * dy, coef * dx)
 
 
-def _range_bearing(own_pose, obs_pos: Vec2) -> Tuple[float, float]:
+def _range_bearing(own: OwnShip, obs_pos: Vec2) -> Tuple[float, float]:
     """Separation of the obstacle from the vessel and its bearing gamma
     relative to the bow, in (-pi, pi]."""
-    dx = obs_pos[0] - own_pose.x
-    dy = obs_pos[1] - own_pose.y
+    dx = obs_pos[0] - own.x
+    dy = obs_pos[1] - own.y
     sep = math.hypot(dx, dy)
     if sep < 1e-12:
         raise FieldSingularity("coincident vessel and obstacle positions")
-    return sep, wrap_angle(math.atan2(dy, dx) - own_pose.psi)
+    return sep, wrap_angle(math.atan2(dy, dx) - own.psi)
 
 
-def bearing_gamma(own_pose, obs_pos: Vec2) -> float:
+def bearing_gamma(own: OwnShip, obs_pos: Vec2) -> float:
     """Bearing of the obstacle relative to the vessel's bow, in (-pi, pi]."""
-    return _range_bearing(own_pose, obs_pos)[1]
+    return _range_bearing(own, obs_pos)[1]
 
 
-def radial_tangential(own: DynamicState, obs: ObstacleView, gamma: float) -> Tuple[float, float]:
+def radial_tangential(own: OwnShip, obs: ObstacleView, gamma: float) -> Tuple[float, float]:
     """Radial and tangential components of the obstacle's relative velocity.
 
     The relative velocity in the global frame is V_obs - R(psi) nu for a
@@ -224,9 +232,9 @@ def radial_tangential(own: DynamicState, obs: ObstacleView, gamma: float) -> Tup
     bearings, i.e. starboard-abaft).  cos/sin of psi are taken once for
     both rotations.
     """
-    psi = own.pose.psi
+    psi = own.psi
     c, s = math.cos(psi), math.sin(psi)
-    u, v = own.nu.u, own.nu.v
+    u, v = own.u, own.v
     own_vx = c * u - s * v
     own_vy = s * u + c * v
     if obs.is_dynamic:
@@ -249,7 +257,7 @@ def vortex_scale_factor(separation: float, v_r: float, R_safe: float) -> float:
     return max(1.0, 2.0 - separation / R_safe - v_r)
 
 
-def classify_encounter(own: DynamicState, obs: ObstacleView) -> str:
+def classify_encounter(own: OwnShip, obs: ObstacleView) -> str:
     """Assign the COLREGS encounter class when a dynamic target is first
     detected; the caller keeps the class until the pair is past and clear.
 
@@ -259,7 +267,7 @@ def classify_encounter(own: DynamicState, obs: ObstacleView) -> str:
     * anything else (head-on sector, give-way crossing, us overtaking):
       the vortex gate stays armed.
     """
-    gamma = bearing_gamma(own.pose, obs.position)
+    gamma = bearing_gamma(own, obs.position)
     if abs(gamma) > 5.0 * math.pi / 8.0:
         return ENCOUNTER_OVERTAKEN
     if obs.is_dynamic and -5.0 * math.pi / 8.0 < gamma < -HEAD_ON_BEARING_MARGIN:
@@ -267,8 +275,8 @@ def classify_encounter(own: DynamicState, obs: ObstacleView) -> str:
         if math.hypot(vx, vy) > 1e-6:
             target_course = math.atan2(vy, vx)
             gamma_t = wrap_angle(
-                math.atan2(own.pose.y - obs.position[1],
-                           own.pose.x - obs.position[0]) - target_course)
+                math.atan2(own.y - obs.position[1],
+                           own.x - obs.position[0]) - target_course)
             if HEAD_ON_BEARING_MARGIN < gamma_t < 5.0 * math.pi / 8.0:
                 return ENCOUNTER_STAND_ON
     return ENCOUNTER_ACTIVE
@@ -283,16 +291,18 @@ def _in_extremis(sep: float, v_r: float, v_theta: float, p: HarmonicParams) -> b
     return abs(v_theta) * sep / -v_r < p.R_tol_vortex
 
 
-def modified_vortex_strength(own: DynamicState, obs: ObstacleView, p: HarmonicParams) -> float:
+def modified_vortex_strength(own: OwnShip, obs: ObstacleView, p: HarmonicParams,
+                             R_safe: float) -> float:
     """Gated vortex strength for one obstacle.
 
     Passive encounter classes (stand-on, being overtaken) keep the vortex
     at zero unless the in-extremis test fires.  For armed encounters the
     vortex is zero when the obstacle is already passing clear
     (v_theta > -2 R_tol / separation * v_r) or lies abaft the 5 pi / 8
-    bearing; otherwise f * K_vor0.
+    bearing; otherwise f * K_vor0, with f scaled by the detection radius
+    R_safe.
     """
-    sep, gamma = _range_bearing(own.pose, obs.position)
+    sep, gamma = _range_bearing(own, obs.position)
     v_r, v_theta = radial_tangential(own, obs, gamma)
     if obs.encounter_class != ENCOUNTER_ACTIVE:
         if not _in_extremis(sep, v_r, v_theta, p):
@@ -301,7 +311,7 @@ def modified_vortex_strength(own: DynamicState, obs: ObstacleView, p: HarmonicPa
         return 0.0
     elif v_theta > (-2.0 * p.R_tol_vortex / sep) * v_r:
         return 0.0
-    return vortex_scale_factor(sep, v_r, p.R_safe) * p.K_vor0
+    return vortex_scale_factor(sep, v_r, R_safe) * p.K_vor0
 
 
 def boundary_source_velocity(pos: Vec2, ch: ChannelBoundary) -> Vec2:
@@ -332,27 +342,27 @@ def boundary_source_velocity(pos: Vec2, ch: ChannelBoundary) -> Vec2:
 
 
 def desired_heading_harmonic(
-    own: DynamicState,
+    own: OwnShip,
     goal: Vec2,
     obstacles: Sequence[ObstacleView],
     boundaries: Optional[ChannelBoundary],
     p: HarmonicParams,
+    R_safe: float,
     modified: bool = True,
     prev_psi_d: Optional[float] = None,
 ) -> float:
     """Heading of the composed sink + vortex (+ wall source) flow field.
 
-    With ``modified`` the per-obstacle vortex strength passes through the
-    COLREGS gate; otherwise every detected obstacle gets K_vor0.  Falls back
-    to ``prev_psi_d`` (or the current heading) at stagnation points.
+    ``obstacles`` are the detected ones, those within the detection radius
+    R_safe.  With ``modified`` the per-obstacle vortex strength passes
+    through the COLREGS gate; otherwise every detected obstacle gets K_vor0.
+    Falls back to ``prev_psi_d`` (or the current heading) at stagnation
+    points.
     """
-    pos = (own.pose.x, own.pose.y)
+    pos = (own.x, own.y)
     vx, vy = sink_velocity(pos, goal, p.Lambda_sink)
     for ob in obstacles:
-        sep = math.hypot(ob.position[0] - pos[0], ob.position[1] - pos[1])
-        if sep > p.R_safe:
-            continue
-        K = modified_vortex_strength(own, ob, p) if modified else p.K_vor0
+        K = modified_vortex_strength(own, ob, p, R_safe) if modified else p.K_vor0
         if K == 0.0:
             continue
         wx, wy = vortex_velocity(pos, ob.position, K)
@@ -363,20 +373,20 @@ def desired_heading_harmonic(
         vx += bx
         vy += by
     if math.hypot(vx, vy) < STAGNATION_EPS:
-        return prev_psi_d if prev_psi_d is not None else own.pose.psi
+        return prev_psi_d if prev_psi_d is not None else own.psi
     return math.atan2(vy, vx)
 
 
 def desired_heading_inverse_square(
-    own: DynamicState,
+    own: OwnShip,
     goal: Vec2,
     obstacles: Sequence[ObstacleView],
     p: InverseSquareParams,
     prev_psi_d: Optional[float] = None,
 ) -> float:
     """Heading of the inverse-square steepest-descent direction."""
-    pos = (own.pose.x, own.pose.y)
+    pos = (own.x, own.y)
     gx, gy = inverse_square_gradient(pos, goal, obstacles, p)
     if math.hypot(gx, gy) < STAGNATION_EPS:
-        return prev_psi_d if prev_psi_d is not None else own.pose.psi
+        return prev_psi_d if prev_psi_d is not None else own.psi
     return math.atan2(gy, gx)

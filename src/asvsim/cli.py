@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import montecarlo, plots, serialize
-from .engine import run
+from .engine import SimConfig, run
 from .mmg import ShipModel
 from .serialize import ScenarioError, dumps_canonical, resolve_method
 
@@ -26,15 +26,15 @@ def _load_model(ship_file):
 def cmd_simulate(args) -> int:
     try:
         scenario, ship_file = serialize.load_scenario(args.scenario)
-    except (OSError, ScenarioError) as exc:
+        if args.method:
+            scenario = scenario.with_method(resolve_method(args.method))
+        if args.dt is not None:
+            scenario = replace(scenario, config=replace(scenario.config, dt=args.dt))
+        if args.seed is not None:
+            scenario = replace(scenario, config=replace(scenario.config, seed=args.seed))
+    except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.method:
-        scenario = scenario.with_method(resolve_method(args.method))
-    if args.dt:
-        scenario = replace(scenario, config=replace(scenario.config, dt=args.dt))
-    if args.seed is not None:
-        scenario = replace(scenario, config=replace(scenario.config, seed=args.seed))
     try:
         model = _load_model(ship_file)
         result = run(scenario, model=model, record=True)
@@ -141,8 +141,8 @@ def cmd_plot(args) -> int:
         elif args.kind in ("rudder", "heading", "crosstrack"):
             plots.plot_series(rows, args.kind, args.out)
         elif args.kind == "distance":
-            r_safe = scenario.config.R_safe if scenario else 15.0
-            plots.plot_distances(rows, args.out, r_safe=r_safe)
+            config = scenario.config if scenario else SimConfig()
+            plots.plot_distances(rows, args.out, r_safe=config.R_safe)
         else:
             raise ValueError(f"unknown plot kind {args.kind!r}")
     except (OSError, ValueError, ScenarioError) as exc:

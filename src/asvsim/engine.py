@@ -16,12 +16,12 @@ and metric bookkeeping and also fills the step's distance table: for each
 agent, the ascending indices of the vessels and of the static obstacles
 within the detection radius.  Sensing reads the table instead of measuring
 again; its views come out in ascending index order (vessels, then statics),
-which fixes the order in which the guidance fields are summed.  Other
-per-step quantities are also built once, on first use, and dropped when
-integration moves the vessel: each vessel's obstacle view (its position and
-global velocity, from one cos/sin of its heading) and its ``DynamicState``.
-The active path segment's angle and its cos/sin are kept until the next
-waypoint switch.
+which fixes the order in which the guidance fields are summed.  Each
+vessel's obstacle view (its position and global velocity, from one cos/sin
+of its heading) is built once per step, on first use, and dropped when
+integration moves the vessel.  The guidance laws read the own-ship state
+from the per-agent runtime itself.  The active path segment's angle and its
+cos/sin are kept until the next waypoint switch.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import apf, vo
 from .apf import ChannelBoundary, HarmonicParams, InverseSquareParams, ObstacleView, StaticObstacle
-from .frames import BodyVelocity, Pose, Vec2, wrap_angle
+from .frames import Vec2, wrap_angle
 from .guidance import (
     ILOSParams,
     PDGains,
@@ -45,7 +45,7 @@ from .guidance import (
     should_switch_waypoint,
     track_errors,
 )
-from .mmg import DynamicState, ShipModel, rudder_rate
+from .mmg import ShipModel, rudder_rate
 from .vo import VOParams
 
 METHODS = ("apf_mvortex", "apf_sinkvortex", "apf_inverse", "velocity_obstacle")
@@ -56,6 +56,9 @@ MODE_REACTIVE = 1
 OUTCOME_SUCCESS = "success"
 OUTCOME_COLLISION = "collision"
 OUTCOME_TIMEOUT = "timeout"
+
+# Cap on |u| that catches integrator blow-up.
+U_CAP = 2.0
 
 
 class SimulationError(RuntimeError):
@@ -71,6 +74,10 @@ class SimConfig:
     collision threshold, or time runs out; "own" (the statistical-study
     protocol) ends it when the own ship (lowest id) succeeds or collides,
     with third-party collisions recorded but non-terminal.
+
+    ``R_safe`` is the detection radius: it switches a vessel into reactive
+    guidance, bounds what sensing passes to the guidance laws, and scales
+    the modified vortex strength.
     """
 
     dt: float = 0.1
@@ -83,6 +90,8 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0.0 or self.max_time <= self.dt:
             raise ValueError("need dt > 0 and max_time > dt")
+        if self.R_safe <= 0.0:
+            raise ValueError("R_safe must be > 0")
         if self.termination not in ("all", "own"):
             raise ValueError("termination must be 'all' or 'own'")
 
@@ -175,18 +184,17 @@ class _AgentRuntime:
     """Mutable per-agent simulation state (engine internal)."""
 
     __slots__ = (
-        "spec", "deriv", "n_prop", "x", "y", "psi", "u", "v", "r", "delta",
+        "spec", "deriv", "x", "y", "psi", "u", "v", "r", "delta",
         "path", "y_int", "done", "time_to_goal", "frozen_psi_d", "prev_psi_d",
         "collided", "min_ship_distance", "min_static_clearance",
         "ce_int", "ye_int", "prev_abs_delta", "prev_abs_ye", "have_prev",
         "rows", "last_delta_c", "last_psi_d", "last_mode", "waypoints_reached",
-        "encounters", "vo_heading", "frame", "state", "view",
+        "encounters", "vo_heading", "frame", "view",
     )
 
     def __init__(self, spec: AgentSpec, model: ShipModel):
         self.spec = spec
-        self.n_prop = model.self_propulsion_rpm(spec.speed)
-        self.deriv = model.make_derivative(self.n_prop)
+        self.deriv = model.make_derivative(model.self_propulsion_rpm(spec.speed))
         self.x, self.y = spec.start
         self.psi = wrap_angle(spec.heading)
         self.u = spec.speed
@@ -220,21 +228,8 @@ class _AgentRuntime:
         # velocity-obstacle evasive course, held until it becomes forbidden
         # or the vessel steers clear of all traffic
         self.vo_heading: Optional[float] = None
-        # built on first use in a step; integration clears them
-        self.state: Optional[DynamicState] = None
+        # built on first use in a step; integration clears it
         self.view: Optional[ObstacleView] = None
-
-    def dynamic_state(self) -> DynamicState:
-        """The vessel's current DynamicState (one object per step)."""
-        state = self.state
-        if state is None:
-            state = self.state = DynamicState(
-                pose=Pose(self.x, self.y, self.psi),
-                nu=BodyVelocity(self.u, self.v, self.r),
-                delta=self.delta,
-                n_prop=self.n_prop,
-            )
-        return state
 
     def obstacle_view(self) -> ObstacleView:
         """This vessel as a dynamic obstacle: position and global velocity."""
@@ -439,7 +434,7 @@ class World:
             view = ags[jdx].obstacle_view()
             cls = encounters.get(jdx)
             if cls is None:
-                cls = encounters[jdx] = apf.classify_encounter(ag.dynamic_state(), view)
+                cls = encounters[jdx] = apf.classify_encounter(ag, view)
             if cls != apf.ENCOUNTER_ACTIVE:
                 view = ObstacleView(view.position, view.velocity_global, True, 0.0, cls)
             views.append(view)
@@ -452,11 +447,9 @@ class World:
                           goal: Vec2) -> float:
         """Dispatch to the agent's reactive guidance law, timing the call.
 
-        The clock covers the law's own call(s) only.  Their inputs (the
-        step's DynamicState, the VO target list) are per-step quantities
-        prepared before it starts: the DynamicState may already exist,
-        built by sensing to classify a new encounter, so timing its
-        construction would charge it to guidance in some steps only.
+        The clock covers the law's own call(s) only; the VO target list is
+        built before it starts.  The APF laws read the own-ship state from
+        the agent itself.
         """
         scn = self.scenario
         method = ag.spec.method
@@ -475,14 +468,13 @@ class World:
                 psi_d = ag.vo_heading = vo.vo_desired_heading(
                     pos, speed, goal, targets, scn.vo_params)
         else:
-            own = ag.dynamic_state()
             t0 = time.perf_counter_ns()
             if method == "apf_inverse":
                 psi_d = apf.desired_heading_inverse_square(
-                    own, goal, views, scn.inverse_params, ag.prev_psi_d)
+                    ag, goal, views, scn.inverse_params, ag.prev_psi_d)
             else:
                 psi_d = apf.desired_heading_harmonic(
-                    own, goal, views, scn.channel, scn.harmonic_params,
+                    ag, goal, views, scn.channel, scn.harmonic_params, self.cfg.R_safe,
                     modified=(method == "apf_mvortex"), prev_psi_d=ag.prev_psi_d)
         self.guidance_ns += time.perf_counter_ns() - t0
         self.guidance_calls += 1
@@ -495,7 +487,6 @@ class World:
         sixth = dt / 6.0
         limits = self._limits
         cap = limits.delta_max
-        u_cap = BodyVelocity.U_CAP
         isfinite = math.isfinite
         for ag in self.agents:
             raw = rudder_rate(ag.delta, ag.last_delta_c, limits)
@@ -521,13 +512,12 @@ class World:
             ag.u = u = u + sixth * (u1 + 2.0 * (u2 + u3) + u4)
             ag.v = v = v + sixth * (v1 + 2.0 * (v2 + v3) + v4)
             ag.r = r = r + sixth * (r1 + 2.0 * (r2 + r3) + r4)
-            ag.state = None
             ag.view = None
             if not (isfinite(x) and isfinite(y) and isfinite(u) and isfinite(v)
                     and isfinite(r)):
                 raise SimulationError(
                     f"non-finite state for agent {ag.spec.id} at t'={self.t:.1f}")
-            if abs(u) > u_cap:
+            if abs(u) > U_CAP:
                 raise SimulationError(
                     f"surge runaway (|u|={abs(u):.2f}) for agent {ag.spec.id} "
                     f"at t'={self.t:.1f}")

@@ -1,4 +1,4 @@
-"""Coordinate frames, poses and angle arithmetic.
+"""Coordinate frames and angle arithmetic.
 
 Conventions used throughout the package:
 
@@ -14,7 +14,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 Vec2 = Tuple[float, float]
@@ -28,30 +27,3 @@ def wrap_angle(a: float) -> float:
     if r > math.pi:
         r -= TWO_PI
     return r
-
-
-@dataclass(frozen=True)
-class Pose:
-    """Planar pose: position in ship lengths, heading in radians.
-
-    ``psi`` is normalized to (-pi, pi] on construction.
-    """
-
-    x: float
-    y: float
-    psi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "psi", wrap_angle(self.psi))
-
-
-@dataclass(frozen=True)
-class BodyVelocity:
-    """Body-frame velocities: surge u, sway v (design-speed units), yaw rate r."""
-
-    u: float
-    v: float
-    r: float
-
-    # Cap on |u| used by the engine to catch integrator blow-up.
-    U_CAP = 2.0

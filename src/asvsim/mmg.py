@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Tuple
 
-from .frames import BodyVelocity, Pose
-
 DELTA_MAX = math.radians(35.0)
 
 
@@ -150,20 +148,6 @@ class ActuatorLimits:
             raise CoefficientError("actuator limits must be > 0")
 
 
-@dataclass(frozen=True)
-class DynamicState:
-    """Complete dynamic state of one vessel: pose, body velocities, rudder, RPM."""
-
-    pose: Pose
-    nu: BodyVelocity
-    delta: float
-    n_prop: float
-
-    def __post_init__(self):
-        if abs(self.delta) > DELTA_MAX + 1e-12:
-            raise ValueError(f"rudder angle {self.delta} exceeds the 35 deg saturation")
-
-
 _EPS_SPEED = 1e-9
 
 
@@ -244,29 +228,6 @@ def _coeffs_from_dict(doc: dict) -> Tuple[ShipParams, MassParams, HydroCoeffs]:
     return ship, mass, coeffs
 
 
-def _dict_from_parts(schema_version: str, notes: str, ship: ShipParams,
-                     mass: MassParams, c: HydroCoeffs) -> dict:
-    return {
-        "schema_version": schema_version,
-        "notes": notes,
-        "ship": {
-            "L": ship.L, "B": ship.B, "d_em": ship.d_em, "U_des": ship.U_des,
-            "rho_w": ship.rho_w, "displacement": ship.displacement,
-            "x_G_nd": ship.x_G_nd,
-        },
-        "mass": {"m": mass.m, "m_x": mass.m_x, "m_y": mass.m_y,
-                 "I_zz": mass.I_zz, "J_zz": mass.J_zz},
-        "hull": {k: getattr(c, k) for k in (
-            "R_0", "X_vv", "X_vr", "X_rr", "X_vvvv",
-            "Y_v", "Y_r", "Y_vvv", "Y_vvr", "Y_vrr", "Y_rrr",
-            "N_v", "N_r", "N_vvv", "N_vvr", "N_vrr", "N_rrr")},
-        "propeller": {k: getattr(c, k) for k in ("D_p", "k_0", "k_1", "k_2", "w_p0", "t_p")},
-        "rudder": {k: getattr(c, k) for k in (
-            "A_R", "f_alpha", "epsilon", "kappa", "eta", "gamma_R",
-            "l_R_nd", "t_R", "a_H", "x_H_nd", "x_R_nd")},
-    }
-
-
 class ShipModel:
     """Immutable bundle of ship particulars, masses and hydrodynamic coefficients.
 
@@ -291,12 +252,6 @@ class ShipModel:
     def default_kcs(cls) -> "ShipModel":
         text = resources.files("asvsim.data").joinpath("kcs_coeffs.json").read_text()
         return cls(json.loads(text))
-
-    def to_json(self) -> str:
-        """Canonical serialization; round-trips bit-exactly through the parser."""
-        doc = _dict_from_parts(self.coeffs.schema_version, self.doc.get("notes", ""),
-                               self.ship, self.mass, self.coeffs)
-        return json.dumps(doc, indent=2, sort_keys=True)
 
     def self_propulsion_rpm(self, target_u: float) -> float:
         return self_propulsion_rpm(target_u, self.coeffs)

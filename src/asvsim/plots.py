@@ -11,15 +11,14 @@ from .apf import (
     HarmonicParams,
     InverseSquareParams,
     ObstacleView,
-    desired_heading_harmonic,
+    OwnShip,
     inverse_square_gradient,
     sink_velocity,
     vortex_velocity,
     modified_vortex_strength,
 )
-from .engine import Scenario
-from .frames import BodyVelocity, Pose, Vec2
-from .mmg import DynamicState
+from .engine import Scenario, SimConfig
+from .frames import Vec2
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
@@ -215,7 +214,8 @@ def plot_series(rows_by_agent: Dict[int, List[tuple]], kind: str, path: str) -> 
     return _series_canvas(ts, series, ylabel, path, labels)
 
 
-def pairwise_distances(rows_by_agent: Dict[int, List[tuple]], r_safe: float = 15.0):
+def pairwise_distances(rows_by_agent: Dict[int, List[tuple]],
+                       r_safe: float = SimConfig.R_safe):
     """Per-pair (t, distance) series, masked to separations within r_safe."""
     ids = sorted(rows_by_agent)
     out: Dict[str, List[Tuple[float, float]]] = {}
@@ -232,7 +232,7 @@ def pairwise_distances(rows_by_agent: Dict[int, List[tuple]], r_safe: float = 15
 
 
 def plot_distances(rows_by_agent: Dict[int, List[tuple]], path: str,
-                   r_safe: float = 15.0) -> SvgCanvas:
+                   r_safe: float = SimConfig.R_safe) -> SvgCanvas:
     pairs = pairwise_distances(rows_by_agent, r_safe)
     if not pairs:
         raise ValueError("no agent pair came within the detection radius")
@@ -256,7 +256,8 @@ def sample_field(kind: str, goal: Vec2 = (10.0, 0.0), obstacle: Vec2 = (-10.0, 0
     """Unit direction of the reactive field on a grid, for a probe vessel
     heading +x at design speed (matching the reference field plots)."""
     inverse = InverseSquareParams()
-    harmonic = HarmonicParams(R_safe=1e9)  # field plots show the full domain
+    harmonic = HarmonicParams()
+    R_safe = 1e9  # field plots show the full domain
     arrows = []
     obs_static = ObstacleView(position=obstacle, velocity_global=(0.0, 0.0),
                               is_dynamic=False, radius=0.5)
@@ -271,12 +272,10 @@ def sample_field(kind: str, goal: Vec2 = (10.0, 0.0), obstacle: Vec2 = (-10.0, 0
             if kind == "inverse":
                 gx, gy = inverse_square_gradient((x, y), goal, [obs_static], inverse)
             else:
-                own = DynamicState(pose=Pose(x, y, 0.0),
-                                   nu=BodyVelocity(probe_speed, 0.0, 0.0),
-                                   delta=0.0, n_prop=1.0)
+                own = OwnShip(x, y, 0.0, probe_speed, 0.0)
                 sx, sy = sink_velocity((x, y), goal, harmonic.Lambda_sink)
                 if kind == "mvortex":
-                    K = modified_vortex_strength(own, obs_static, harmonic)
+                    K = modified_vortex_strength(own, obs_static, harmonic, R_safe)
                 else:
                     K = harmonic.K_vor0
                 gx, gy = sx, sy

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .apf import ChannelBoundary, HarmonicParams, InverseSquareParams, StaticObstacle
@@ -54,17 +53,84 @@ def _check_keys(doc: dict, allowed: set, path: str):
         _fail(path, f"unknown field(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
-def _number(doc: dict, key: str, path: str, default=None, positive=False):
-    if key not in doc:
-        if default is None:
-            _fail(path, f"missing required field '{key}'")
-        return default
-    v = doc[key]
+NUMBER, POSITIVE, DEGREES, INTEGER = "number", "positive", "degrees", "integer"
+
+#: Every parameter a scenario file may set, by Scenario attribute:
+#: (JSON block, dataclass, {JSON key: (dataclass field, kind)}).  A kind is
+#: NUMBER, POSITIVE (> 0), DEGREES (> 0, in degrees in the file and in
+#: radians in the dataclass), INTEGER, or a tuple of the allowed strings.
+#: Absent keys take the dataclass default, so the defaults live only there.
+PARAMETERS = {
+    "ilos": ("guidance", ILOSParams, {
+        "delta": ("Delta", POSITIVE),
+        "k_factor": ("k_factor", NUMBER),
+        "r_tol": ("R_tol", POSITIVE)}),
+    "gains": ("control", PDGains, {
+        "kp": ("Kp_c", POSITIVE),
+        "kd": ("Kd_c", POSITIVE)}),
+    "inverse_params": ("apf", InverseSquareParams, {
+        "k_att": ("k_att", POSITIVE),
+        "k_rep": ("k_rep", POSITIVE),
+        "d0": ("d0", POSITIVE)}),
+    "harmonic_params": ("apf", HarmonicParams, {
+        "lambda_sink": ("Lambda_sink", NUMBER),
+        "k_vor0": ("K_vor0", NUMBER),
+        "r_tol_vortex": ("R_tol_vortex", POSITIVE),
+        "in_extremis_range": ("in_extremis_range", POSITIVE)}),
+    "vo_params": ("vo", VOParams, {
+        "cone_radius": ("cone_radius", POSITIVE),
+        "heading_resolution_deg": ("heading_resolution", DEGREES),
+        "max_course_change_deg": ("max_course_change", DEGREES)}),
+    "config": ("sim", SimConfig, {
+        "dt": ("dt", POSITIVE),
+        "max_time": ("max_time", POSITIVE),
+        "collision_threshold": ("collision_threshold", POSITIVE),
+        "r_safe": ("R_safe", POSITIVE),
+        "seed": ("seed", INTEGER),
+        "termination": ("termination", ("all", "own"))}),
+    "channel": ("channel", ChannelBoundary, {
+        "activation_distance": ("activation_distance", POSITIVE),
+        "source_strength": ("Lambda_src", POSITIVE)}),
+}
+
+#: allowed keys of each parameter block (the channel also has its walls)
+_BLOCK_KEYS: Dict[str, set] = {"channel": {"boundary_a", "boundary_b"}}
+for _block, _, _keys in PARAMETERS.values():
+    _BLOCK_KEYS.setdefault(_block, set()).update(_keys)
+
+
+def _value(v, path: str, kind):
+    """Validate one parameter value and convert it to its dataclass form."""
+    if isinstance(kind, tuple):
+        if v not in kind:
+            _fail(path, "must be " + " or ".join(repr(k) for k in kind))
+        return v
+    if kind == INTEGER:
+        if not isinstance(v, int) or isinstance(v, bool):
+            _fail(path, "must be an integer")
+        return v
     if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-        _fail(f"{path}.{key}", "must be a finite number")
-    if positive and v <= 0:
-        _fail(f"{path}.{key}", "must be > 0")
-    return float(v)
+        _fail(path, "must be a finite number")
+    if kind != NUMBER and v <= 0:
+        _fail(path, "must be > 0")
+    return math.radians(v) if kind == DEGREES else float(v)
+
+
+def _number(doc: dict, key: str, path: str, default: float) -> float:
+    return _value(doc[key], f"{path}.{key}", NUMBER) if key in doc else default
+
+
+def _params(doc: dict, attr: str, **extra):
+    """The parameter dataclass of one Scenario attribute, built from the
+    keys of its block that the document sets."""
+    block, cls, keys = PARAMETERS[attr]
+    block_doc = doc.get(block) or {}
+    kwargs = {name: _value(block_doc[key], f"{block}.{key}", kind)
+              for key, (name, kind) in keys.items() if key in block_doc}
+    try:
+        return cls(**kwargs, **extra)
+    except ValueError as exc:
+        _fail(block, str(exc))
 
 
 def _point(v, path: str) -> Tuple[float, float]:
@@ -105,12 +171,12 @@ def _parse_agent(doc: dict, path: str) -> AgentSpec:
 
 
 def parse_scenario(doc: dict) -> Scenario:
-    """Validate a scenario document and build the Scenario with defaults."""
+    """Validate a scenario document and build the Scenario; parameters the
+    document leaves out take their dataclass defaults."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario root must be a JSON object")
-    allowed = {"schema_version", "name", "ship_file", "agents", "static_obstacles",
-               "channel", "guidance", "control", "apf", "vo", "sim"}
-    _check_keys(doc, allowed, "scenario")
+    _check_keys(doc, {"schema_version", "name", "ship_file", "agents", "static_obstacles",
+                      *_BLOCK_KEYS}, "scenario")
     version = doc.get("schema_version", SCENARIO_SCHEMA_VERSION)
     if version != SCENARIO_SCHEMA_VERSION:
         _fail("scenario.schema_version", f"unsupported version {version!r}")
@@ -127,105 +193,28 @@ def parse_scenario(doc: dict) -> Scenario:
             _fail(path, "must be an object")
         _check_keys(o, {"center", "radius"}, path)
         center = _point(o.get("center"), f"{path}.center")
-        radius = _number(o, "radius", path, default=0.5, positive=True)
-        statics.append(StaticObstacle(center=center, R_obs=radius))
+        radius = ({"R_obs": _value(o["radius"], f"{path}.radius", POSITIVE)}
+                  if "radius" in o else {})
+        statics.append(StaticObstacle(center=center, **radius))
 
-    sim_doc = doc.get("sim", {})
-    _check_keys(sim_doc, {"dt", "max_time", "collision_threshold", "r_safe",
-                          "seed", "termination"}, "sim")
-    termination = sim_doc.get("termination", "all")
-    if termination not in ("all", "own"):
-        _fail("sim.termination", "must be 'all' or 'own'")
-    seed = sim_doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        _fail("sim.seed", "must be an integer")
-    r_safe = _number(sim_doc, "r_safe", "sim", default=15.0, positive=True)
-    try:
-        config = SimConfig(
-            dt=_number(sim_doc, "dt", "sim", default=0.1, positive=True),
-            max_time=_number(sim_doc, "max_time", "sim", default=400.0, positive=True),
-            collision_threshold=_number(sim_doc, "collision_threshold", "sim",
-                                        default=2.0, positive=True),
-            R_safe=r_safe,
-            seed=seed,
-            termination=termination,
-        )
-    except ValueError as exc:
-        _fail("sim", str(exc))
-
-    g_doc = doc.get("guidance", {})
-    _check_keys(g_doc, {"delta", "k_factor", "r_tol"}, "guidance")
-    try:
-        ilos = ILOSParams(
-            Delta=_number(g_doc, "delta", "guidance", default=2.0, positive=True),
-            k_factor=_number(g_doc, "k_factor", "guidance", default=0.05),
-            R_tol=_number(g_doc, "r_tol", "guidance", default=3.0, positive=True),
-        )
-    except ValueError as exc:
-        _fail("guidance", str(exc))
-
-    c_doc = doc.get("control", {})
-    _check_keys(c_doc, {"kp", "kd"}, "control")
-    try:
-        gains = PDGains(Kp_c=_number(c_doc, "kp", "control", default=3.5),
-                        Kd_c=_number(c_doc, "kd", "control", default=4.0))
-    except ValueError as exc:
-        _fail("control", str(exc))
-
-    a_doc = doc.get("apf", {})
-    _check_keys(a_doc, {"k_att", "k_rep", "d0", "lambda_sink", "k_vor0",
-                        "r_tol_vortex", "in_extremis_range"}, "apf")
-    try:
-        inverse = InverseSquareParams(
-            k_att=_number(a_doc, "k_att", "apf", default=50.0),
-            k_rep=_number(a_doc, "k_rep", "apf", default=200000.0),
-            d0=_number(a_doc, "d0", "apf", default=r_safe, positive=True),
-        )
-        harmonic = HarmonicParams(
-            Lambda_sink=_number(a_doc, "lambda_sink", "apf", default=-100.0),
-            K_vor0=_number(a_doc, "k_vor0", "apf", default=-10.0),
-            R_safe=r_safe,
-            R_tol_vortex=_number(a_doc, "r_tol_vortex", "apf", default=3.0),
-            in_extremis_range=_number(a_doc, "in_extremis_range", "apf", default=10.0),
-        )
-    except ValueError as exc:
-        _fail("apf", str(exc))
-
-    v_doc = doc.get("vo", {})
-    _check_keys(v_doc, {"cone_radius", "heading_resolution_deg",
-                        "max_course_change_deg"}, "vo")
-    try:
-        vo_params = VOParams(
-            cone_radius=_number(v_doc, "cone_radius", "vo", default=6.0, positive=True),
-            heading_resolution=math.radians(
-                _number(v_doc, "heading_resolution_deg", "vo", default=1.0, positive=True)),
-            max_course_change=math.radians(
-                _number(v_doc, "max_course_change_deg", "vo", default=90.0, positive=True)),
-            R_safe=r_safe,
-        )
-    except ValueError as exc:
-        _fail("vo", str(exc))
+    for block, allowed in _BLOCK_KEYS.items():
+        block_doc = doc.get(block)
+        if block_doc is not None:
+            if not isinstance(block_doc, dict):
+                _fail(block, "must be an object")
+            _check_keys(block_doc, allowed, block)
+    params = {attr: _params(doc, attr) for attr in PARAMETERS if attr != "channel"}
 
     channel = None
     ch_doc = doc.get("channel")
     if ch_doc is not None:
-        _check_keys(ch_doc, {"boundary_a", "boundary_b", "activation_distance",
-                             "source_strength"}, "channel")
         def _segment(v, path):
             if not isinstance(v, (list, tuple)) or len(v) != 2:
                 _fail(path, "must be a [[x, y], [x, y]] segment")
             return (_point(v[0], f"{path}[0]"), _point(v[1], f"{path}[1]"))
-        try:
-            channel = ChannelBoundary(
-                boundary_a=_segment(ch_doc.get("boundary_a"), "channel.boundary_a"),
-                boundary_b=_segment(ch_doc.get("boundary_b"), "channel.boundary_b"),
-                activation_distance=_number(ch_doc, "activation_distance", "channel",
-                                            default=2.0, positive=True),
-                Lambda_src=_number(ch_doc, "source_strength", "channel",
-                                   default=10.0, positive=True),
-            )
-        except ValueError as exc:
-            _fail("channel", str(exc))
+        channel = _params(doc, "channel",
+                          boundary_a=_segment(ch_doc.get("boundary_a"), "channel.boundary_a"),
+                          boundary_b=_segment(ch_doc.get("boundary_b"), "channel.boundary_b"))
 
     name = doc.get("name", "")
     if not isinstance(name, str):
@@ -236,9 +225,7 @@ def parse_scenario(doc: dict) -> Scenario:
 
     try:
         return Scenario(agents=agents, static_obstacles=statics, channel=channel,
-                        ilos=ilos, gains=gains, inverse_params=inverse,
-                        harmonic_params=harmonic, vo_params=vo_params,
-                        config=config, name=name)
+                        name=name, **params)
     except ValueError as exc:
         raise ScenarioError(str(exc))
 
@@ -266,30 +253,18 @@ def scenario_to_dict(sc: Scenario, ship_file: Optional[str] = None) -> dict:
         "static_obstacles": [
             {"center": list(o.center), "radius": o.R_obs} for o in sc.static_obstacles
         ],
-        "guidance": {"delta": sc.ilos.Delta, "k_factor": sc.ilos.k_factor,
-                     "r_tol": sc.ilos.R_tol},
-        "control": {"kp": sc.gains.Kp_c, "kd": sc.gains.Kd_c},
-        "apf": {"k_att": sc.inverse_params.k_att, "k_rep": sc.inverse_params.k_rep,
-                "d0": sc.inverse_params.d0,
-                "lambda_sink": sc.harmonic_params.Lambda_sink,
-                "k_vor0": sc.harmonic_params.K_vor0,
-                "r_tol_vortex": sc.harmonic_params.R_tol_vortex,
-                "in_extremis_range": sc.harmonic_params.in_extremis_range},
-        "vo": {"cone_radius": sc.vo_params.cone_radius,
-               "heading_resolution_deg": math.degrees(sc.vo_params.heading_resolution),
-               "max_course_change_deg": math.degrees(sc.vo_params.max_course_change)},
-        "sim": {"dt": sc.config.dt, "max_time": sc.config.max_time,
-                "collision_threshold": sc.config.collision_threshold,
-                "r_safe": sc.config.R_safe, "seed": sc.config.seed,
-                "termination": sc.config.termination},
     }
+    for attr, (block, _, keys) in PARAMETERS.items():
+        params = getattr(sc, attr)
+        if params is None:  # no channel
+            continue
+        out = doc.setdefault(block, {})
+        for key, (name, kind) in keys.items():
+            v = getattr(params, name)
+            out[key] = math.degrees(v) if kind == DEGREES else v
     if sc.channel is not None:
-        doc["channel"] = {
-            "boundary_a": [list(p) for p in sc.channel.boundary_a],
-            "boundary_b": [list(p) for p in sc.channel.boundary_b],
-            "activation_distance": sc.channel.activation_distance,
-            "source_strength": sc.channel.Lambda_src,
-        }
+        doc["channel"]["boundary_a"] = [list(p) for p in sc.channel.boundary_a]
+        doc["channel"]["boundary_b"] = [list(p) for p in sc.channel.boundary_b]
     if ship_file is not None:
         doc["ship_file"] = ship_file
     return doc

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .frames import Vec2
 
@@ -24,7 +24,6 @@ class VOParams:
     cone_radius: float = 6.0
     heading_resolution: float = math.radians(1.0)
     max_course_change: float = math.radians(90.0)
-    R_safe: float = 15.0
 
     def __post_init__(self):
         if self.heading_resolution <= 0.0 or self.cone_radius <= 0.0:
@@ -79,15 +78,6 @@ def collision_cone(own_pos: Vec2, target_pos: Vec2, target_vel: Vec2,
     )
 
 
-def _cones_in_range(own_pos: Vec2, targets: Sequence[Tuple[Vec2, Vec2, float]],
-                    p: VOParams) -> Iterator[CollisionCone]:
-    """Cones of the targets within R_safe, in target order, built lazily."""
-    for pos, vel, radius in targets:
-        if math.hypot(pos[0] - own_pos[0], pos[1] - own_pos[1]) > p.R_safe:
-            continue
-        yield collision_cone(own_pos, pos, vel, p.cone_radius + radius)
-
-
 def heading_admissible(own_pos: Vec2, own_speed: float, heading: float,
                        targets: Sequence[Tuple[Vec2, Vec2, float]],
                        p: VOParams) -> bool:
@@ -97,8 +87,8 @@ def heading_admissible(own_pos: Vec2, own_speed: float, heading: float,
     forbids the course.
     """
     w = (own_speed * math.cos(heading), own_speed * math.sin(heading))
-    for cone in _cones_in_range(own_pos, targets, p):
-        if cone.forbids(w):
+    for pos, vel, radius in targets:
+        if collision_cone(own_pos, pos, vel, p.cone_radius + radius).forbids(w):
             return False
     return True
 
@@ -112,10 +102,10 @@ def vo_desired_heading(
 ) -> float:
     """Heading choice at constant (current) speed clearing all cones.
 
-    ``targets`` are (position, global velocity, effective radius) triples;
-    targets beyond R_safe are ignored.  Candidates are goal bearing
-    +/- i*resolution with +i checked first, so exact ties resolve to
-    starboard.  If no candidate clears every cone, the candidate violating
+    ``targets`` are the detected (position, global velocity, effective
+    radius) triples, those within the detection radius.  Candidates are
+    goal bearing +/- i*resolution with +i checked first, so exact ties
+    resolve to starboard.  If no candidate clears every cone, the candidate violating
     the fewest cones (first in enumeration order) is returned.
 
     Whole-plane cones are violated by every candidate, so they add the
@@ -127,9 +117,10 @@ def vo_desired_heading(
     if own_speed <= 0.0:
         raise ValueError("own speed must be > 0 for the constant-speed search")
     goal_bearing = math.atan2(goal[1] - own_pos[1], goal[0] - own_pos[0])
-    cones = list(_cones_in_range(own_pos, targets, p))
-    if not cones:
+    if not targets:
         return goal_bearing
+    cones = [collision_cone(own_pos, pos, vel, p.cone_radius + radius)
+             for pos, vel, radius in targets]
     tests = [cone.forbids for cone in cones if not cone.whole_plane]
 
     n_steps = int(round(p.max_course_change / p.heading_resolution))

@@ -196,14 +196,14 @@ def test_criterion_06_colregs_suite(model):
     max_overtaken_K = 0.0
     while world.step():
         a, b = world.agents
-        if math.hypot(a.x - b.x, a.y - b.y) <= hp.R_safe:
+        if math.hypot(a.x - b.x, a.y - b.y) <= world.cfg.R_safe:
             view = ObstacleView(
                 position=(a.x, a.y),
                 velocity_global=(math.cos(a.psi) * a.u - math.sin(a.psi) * a.v,
                                  math.sin(a.psi) * a.u + math.cos(a.psi) * a.v),
                 is_dynamic=True,
                 encounter_class=b.encounters.get(0, apf.ENCOUNTER_ACTIVE))
-            K = apf.modified_vortex_strength(b.dynamic_state(), view, hp)
+            K = apf.modified_vortex_strength(b, view, hp, world.cfg.R_safe)
             max_overtaken_K = max(max_overtaken_K, abs(K))
     res = world.result()
     assert res.outcomes == ["success", "success"]

@@ -13,6 +13,7 @@ from asvsim.apf import (
     HarmonicParams,
     InverseSquareParams,
     ObstacleView,
+    OwnShip,
     bearing_gamma,
     boundary_source_velocity,
     classify_encounter,
@@ -25,15 +26,14 @@ from asvsim.apf import (
     vortex_scale_factor,
     vortex_velocity,
 )
-from asvsim.frames import BodyVelocity, Pose
-from asvsim.mmg import DynamicState
+from asvsim.engine import SimConfig
 
 TWO_PI = 2.0 * math.pi
+R_SAFE = SimConfig.R_safe
 
 
-def own_state(x=0.0, y=0.0, psi=0.0, u=1.0, v=0.0, r=0.0):
-    return DynamicState(pose=Pose(x, y, psi), nu=BodyVelocity(u, v, r),
-                        delta=0.0, n_prop=1.7)
+def own_state(x=0.0, y=0.0, psi=0.0, u=1.0, v=0.0):
+    return OwnShip(x, y, psi, u, v)
 
 
 def dynamic_view(pos, vel, encounter=ENCOUNTER_ACTIVE):
@@ -168,11 +168,11 @@ class TestBearingAndRelativeVelocity:
         (0.0, (-1, 0), math.pi),
     ])
     def test_bearing(self, psi, obs, expected):
-        assert bearing_gamma(Pose(0, 0, psi), obs) == pytest.approx(expected)
+        assert bearing_gamma(own_state(psi=psi), obs) == pytest.approx(expected)
 
     def test_bearing_coincident_reported(self):
         with pytest.raises(FieldSingularity):
-            bearing_gamma(Pose(1, 1, 0), (1, 1))
+            bearing_gamma(own_state(1, 1), (1, 1))
 
     # with psi = 0 and the obstacle dead ahead (gamma = 0) the line-of-sight
     # components are the global-frame relative velocity itself
@@ -220,8 +220,8 @@ class TestRadialTangential:
             obs, v_obs = dynamic_view((10.0, 0.0), (vx, vy)), np.array([vx, vy])
         else:
             obs, v_obs = static_view((10.0, 0.0)), np.zeros(2)
-        v_rel = v_obs - rot(own.pose.psi) @ np.array([u, v])
-        expected = rot(gamma).T @ rot(own.pose.psi).T @ v_rel
+        v_rel = v_obs - rot(own.psi) @ np.array([u, v])
+        expected = rot(gamma).T @ rot(own.psi).T @ v_rel
         v_r, v_th = radial_tangential(own, obs, gamma)
         assert v_r == pytest.approx(expected[0], abs=1e-12)
         assert v_th == pytest.approx(expected[1], abs=1e-12)
@@ -231,8 +231,8 @@ class TestVortexGate:
     def test_overtaking_bearing_gated(self):
         own = own_state()
         obs = dynamic_view((-5.0, 5.0), (1.0, 0.0))  # bearing 3*pi/4 abaft
-        assert abs(bearing_gamma(own.pose, obs.position)) == pytest.approx(3 * math.pi / 4)
-        assert modified_vortex_strength(own, obs, HarmonicParams()) == 0.0
+        assert abs(bearing_gamma(own, obs.position)) == pytest.approx(3 * math.pi / 4)
+        assert modified_vortex_strength(own, obs, HarmonicParams(), R_SAFE) == 0.0
 
     def test_head_on_static_active(self):
         # gamma=0, v_r=-1, v_theta=0, separation 10, R_tol=3: threshold 0.6,
@@ -240,8 +240,8 @@ class TestVortexGate:
         own = own_state(u=1.0)
         obs = static_view((10.0, 0.0), radius=0.5)
         p = HarmonicParams()
-        K = modified_vortex_strength(own, obs, p)
-        f = vortex_scale_factor(10.0, -1.0, p.R_safe)
+        K = modified_vortex_strength(own, obs, p, R_SAFE)
+        f = vortex_scale_factor(10.0, -1.0, R_SAFE)
         assert K == pytest.approx(f * p.K_vor0)
         assert K < 0.0
 
@@ -249,19 +249,19 @@ class TestVortexGate:
         # strongly positive transversal rate: target sliding clear
         own = own_state(u=1.0)
         obs = dynamic_view((10.0, 0.0), (1.0, 3.0))
-        assert modified_vortex_strength(own, obs, HarmonicParams()) == 0.0
+        assert modified_vortex_strength(own, obs, HarmonicParams(), R_SAFE) == 0.0
 
     def test_stand_on_class_passive(self):
         own = own_state(u=1.0)
         obs = dynamic_view((10.0, -10.0), (0.0, 1.0), encounter=ENCOUNTER_STAND_ON)
-        assert modified_vortex_strength(own, obs, HarmonicParams()) == 0.0
+        assert modified_vortex_strength(own, obs, HarmonicParams(), R_SAFE) == 0.0
 
     def test_stand_on_in_extremis_override(self):
         # give-way ship never acted: collision course inside the in-extremis
         # range forces the vortex back on
         own = own_state(u=1.0)
         obs = dynamic_view((8.0, 0.0), (-1.0, 0.0), encounter=ENCOUNTER_STAND_ON)
-        assert modified_vortex_strength(own, obs, HarmonicParams()) != 0.0
+        assert modified_vortex_strength(own, obs, HarmonicParams(), R_SAFE) != 0.0
 
     def test_gate_monotone_in_separation(self):
         own = own_state(u=1.0)
@@ -269,7 +269,7 @@ class TestVortexGate:
         strengths = []
         for d in (14.0, 12.0, 10.0, 8.0, 6.0, 4.0):
             obs = static_view((d, 0.0))
-            strengths.append(abs(modified_vortex_strength(own, obs, p)))
+            strengths.append(abs(modified_vortex_strength(own, obs, p, R_SAFE)))
         assert all(b >= a for a, b in zip(strengths, strengths[1:]))
 
     @given(bearing=st.floats(5 * math.pi / 8 + 0.01, math.pi),
@@ -279,7 +279,7 @@ class TestVortexGate:
         own = own_state(u=1.0)
         ang = side * bearing
         obs = static_view((dist * math.cos(ang), dist * math.sin(ang)))
-        assert modified_vortex_strength(own, obs, HarmonicParams()) == 0.0
+        assert modified_vortex_strength(own, obs, HarmonicParams(), R_SAFE) == 0.0
 
 
 class TestScaleFactor:
@@ -356,20 +356,22 @@ class TestBoundarySources:
 class TestDesiredHeadings:
     def test_harmonic_points_at_goal_without_obstacles(self):
         psi_d = desired_heading_harmonic(own_state(), (10.0, 10.0), [], None,
-                                         HarmonicParams())
+                                         HarmonicParams(), R_SAFE)
         assert psi_d == pytest.approx(math.pi / 4)
 
     def test_harmonic_deflects_starboard_for_head_on_obstacle(self):
         own = own_state(u=1.0)
         obs = static_view((10.0, 0.0))
-        psi_d = desired_heading_harmonic(own, (25.0, 0.0), [obs], None, HarmonicParams())
+        psi_d = desired_heading_harmonic(own, (25.0, 0.0), [obs], None, HarmonicParams(),
+                                         R_SAFE)
         assert psi_d > 0.0
 
     def test_gated_vortex_equals_sink_only(self):
         own = own_state(u=1.0)
         obs = dynamic_view((-5.0, 5.0), (1.0, 0.0))  # abaft: gated to zero
-        with_obs = desired_heading_harmonic(own, (25.0, 0.0), [obs], None, HarmonicParams())
-        sink_only = desired_heading_harmonic(own, (25.0, 0.0), [], None, HarmonicParams())
+        p = HarmonicParams()
+        with_obs = desired_heading_harmonic(own, (25.0, 0.0), [obs], None, p, R_SAFE)
+        sink_only = desired_heading_harmonic(own, (25.0, 0.0), [], None, p, R_SAFE)
         assert with_obs == sink_only
 
     def test_inverse_square_points_at_goal_when_clear(self):

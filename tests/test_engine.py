@@ -8,8 +8,15 @@ import pytest
 
 import asvsim
 from asvsim import scenarios
-from asvsim.apf import StaticObstacle
+from asvsim.apf import (
+    HarmonicParams,
+    ObstacleView,
+    OwnShip,
+    StaticObstacle,
+    desired_heading_harmonic,
+)
 from asvsim.engine import (
+    METHODS,
     AgentSpec,
     MODE_ILOS,
     MODE_REACTIVE,
@@ -38,19 +45,60 @@ class TestStep:
         assert max(abs(r[3]) for r in rows) < math.radians(2.0)
         assert res.agents[0].outcome == "success"
 
-    def test_mode_flips_at_detection_radius(self, model):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_mode_flips_at_detection_radius(self, model, method):
+        # no guidance law sees an obstacle beyond R_safe: the vessel tracks
+        # its path until the obstacle comes within the detection radius
         agent = AgentSpec(id=0, start=(0, 0), heading=0.0, speed=1.0,
-                          waypoints=((60.0, 0.0),))
+                          waypoints=((60.0, 0.0),), method=method)
         sc = Scenario(agents=[agent],
                       static_obstacles=[StaticObstacle((30.0, 0.0), 0.5)])
+        R_safe = sc.config.R_safe
         res = run(sc, model=model, record=True)
         rows = res.trajectories[0]
         first_reactive = next(r for r in rows if r[10] == MODE_REACTIVE)
         dist = math.hypot(30.0 - first_reactive[1], first_reactive[2])
         # crossing R_safe flips the mode within one control step
-        assert dist <= 15.0
+        assert dist <= R_safe
         prev = rows[rows.index(first_reactive) - 1]
-        assert math.hypot(30.0 - prev[1], prev[2]) > 15.0 - 0.15
+        assert math.hypot(30.0 - prev[1], prev[2]) > R_safe - 0.15
+        assert all(r[10] == MODE_ILOS for r in rows[:rows.index(first_reactive)])
+
+    def test_vo_uses_the_configured_detection_radius(self, model):
+        # a static obstacle dead ahead, detected at 20 L: VO's first reactive
+        # heading already clears its cone instead of holding the goal bearing
+        agent = AgentSpec(id=0, start=(0, 0), heading=0.0, speed=1.0,
+                          waypoints=((60.0, 0.0),), method="velocity_obstacle")
+        sc = Scenario(agents=[agent], static_obstacles=[StaticObstacle((40.0, 0.0), 0.5)],
+                      config=SimConfig(R_safe=20.0))
+        rows = run(sc, model=model, record=True).trajectories[0]
+        first = next(r for r in rows if r[10] == MODE_REACTIVE)
+        assert math.hypot(40.0 - first[1], first[2]) > 15.0
+        goal_bearing = math.atan2(0.0 - first[2], 60.0 - first[1])
+        assert abs(wrap_angle(first[9] - goal_bearing)) > math.radians(10.0)
+
+    def test_mvortex_scales_by_the_configured_detection_radius(self, model):
+        # the first reactive heading is the harmonic field with the vortex
+        # scaled by SimConfig.R_safe (20 L), not by the 15 L default
+        agent = AgentSpec(id=0, start=(0, 0), heading=0.0, speed=1.0,
+                          waypoints=((60.0, 0.0),))
+        obstacle = StaticObstacle((40.0, 0.0), 0.5)
+        sc = Scenario(agents=[agent], static_obstacles=[obstacle],
+                      config=SimConfig(R_safe=20.0))
+        rows = run(sc, model=model, record=True).trajectories[0]
+        first = next(r for r in rows if r[10] == MODE_REACTIVE)
+        own = OwnShip(*first[1:6])
+        view = ObstacleView(obstacle.center, (0.0, 0.0), False, obstacle.R_obs)
+
+        def heading(R_safe):
+            return wrap_angle(desired_heading_harmonic(
+                own, (60.0, 0.0), [view], None, HarmonicParams(), R_safe))
+
+        assert first[9] == heading(20.0) != heading(15.0)
+
+    def test_nonpositive_detection_radius_rejected(self):
+        with pytest.raises(ValueError, match="R_safe"):
+            SimConfig(R_safe=0.0)
 
     def test_head_on_mirror_symmetry(self, model, head_on_result):
         rows_a, rows_b = head_on_result.trajectories
@@ -167,6 +215,8 @@ class TestMetrics:
         assert ce == pytest.approx(trapezoid_mean(res.trajectories[0], 7) / DELTA_35,
                                    rel=1e-9)
         assert 0.85 < ce <= 1.0
+        # the rudder state never exceeds its 35 deg saturation
+        assert max(abs(r[7]) for r in res.trajectories[0]) <= DELTA_35
 
     def test_ce_zero(self, model):
         assert self._straight_run(model).ce == 0.0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from asvsim.engine import AgentSpec, Scenario, SimConfig, SimulationError, World
-from asvsim.frames import Pose, wrap_angle
+from asvsim.frames import wrap_angle
 
 
 def kinematics(model, psi, u, v, r=0.0):
@@ -149,4 +149,6 @@ class TestRK4:
 
 
 def test_pose_normalizes_heading():
-    assert Pose(0.0, 0.0, 3 * math.pi).psi == pytest.approx(math.pi)
+    agent = AgentSpec(id=0, start=(0.0, 0.0), heading=3 * math.pi, speed=1.0,
+                      waypoints=((10.0, 0.0),))
+    assert World(Scenario(agents=[agent])).agents[0].psi == pytest.approx(math.pi)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import jsonschema
@@ -7,10 +8,11 @@ import pytest
 
 from asvsim import scenarios
 from asvsim.cli import main
-from asvsim.engine import run
+from asvsim.engine import AgentSpec, Scenario, SimConfig, run
 from asvsim.plots import pairwise_distances, sample_field
 from asvsim.serialize import (
     CSV_COLUMNS,
+    PARAMETERS,
     ScenarioError,
     batch_summary_dict,
     dumps_canonical,
@@ -63,6 +65,14 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="sim.r_safe"):
             parse_scenario(doc)
 
+    def test_r_safe_alone_matches_programmatic_scenario(self):
+        # the detection radius is stored once, so setting it in the file
+        # changes nothing else (apf.d0 keeps its own default)
+        parsed = parse_scenario(dict(MINIMAL, sim={"r_safe": 20}))
+        agent = AgentSpec(id=0, start=(0.0, 0.0), heading=0.0, speed=1.0,
+                          waypoints=((60.0, 0.0),))
+        assert parsed == Scenario(agents=[agent], config=SimConfig(R_safe=20.0))
+
     def test_bad_agent_speed_names_path(self):
         doc = {"agents": [{"id": 0, "start": [0, 0], "speed": 5.0,
                            "waypoints": [[60, 0]]}]}
@@ -87,6 +97,35 @@ class TestScenarioParsing:
         validator = jsonschema.Draft7Validator(schema("scenario.schema.json"))
         with pytest.raises(jsonschema.ValidationError):
             validator.validate(dict(MINIMAL, weather="stormy"))
+
+
+SCHEMA_PROPERTIES = schema("scenario.schema.json")["properties"]
+PARAMETER_BLOCKS = sorted({block for block, _, _ in PARAMETERS.values()})
+
+
+class TestSchemaParity:
+    """The parser's parameter table and the shipped schema describe the
+    same keys and reject the same non-positive values."""
+
+    @pytest.mark.parametrize("block", PARAMETER_BLOCKS)
+    def test_block_keys_match_schema(self, block):
+        table_keys = {key for b, _, keys in PARAMETERS.values() if b == block
+                      for key in keys}
+        schema_keys = set(SCHEMA_PROPERTIES[block]["properties"])
+        if block == "channel":
+            schema_keys -= {"boundary_a", "boundary_b"}  # geometry, not parameters
+        assert schema_keys == table_keys
+
+    @pytest.mark.parametrize("path", [
+        f"{block}.{key}" for block in PARAMETER_BLOCKS
+        for key, spec in SCHEMA_PROPERTIES[block]["properties"].items()
+        if spec.get("exclusiveMinimum") == 0])
+    def test_schema_positive_keys_rejected_at_zero(self, path):
+        block, key = path.split(".")
+        doc = scenario_to_dict(scenarios.narrow_channel())
+        doc[block][key] = 0
+        with pytest.raises(ScenarioError, match=f"^{re.escape(path)}: "):
+            parse_scenario(doc)
 
 
 class TestTrajectoryCSV:
@@ -175,6 +214,14 @@ class TestCLI:
                      "--out", str(tmp_path)])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dt", ["-1", "0"])
+    def test_simulate_rejects_nonpositive_dt(self, scenario_file, tmp_path, capsys, dt):
+        code = main(["simulate", "--scenario", scenario_file, "--dt", dt,
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "result.json").exists()
 
     def test_method_override(self, scenario_file, tmp_path):
         code = main(["simulate", "--scenario", scenario_file, "--method", "vo",

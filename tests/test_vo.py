@@ -37,11 +37,6 @@ class TestDesiredHeading:
         out = vo_desired_heading((0, 0), 1.0, (10, 10), [], p)
         assert out == pytest.approx(math.pi / 4)
 
-    def test_far_targets_ignored(self):
-        p = VOParams(R_safe=15.0)
-        out = vo_desired_heading((0, 0), 1.0, (10, 0), [((40.0, 0.0), (-1.0, 0.0), 0.0)], p)
-        assert out == pytest.approx(0.0)
-
     def test_head_on_deviation_matches_cone_clearance(self):
         # static target dead ahead: the deviation must clear the cone
         # half-angle within one resolution step
@@ -97,8 +92,7 @@ class TestHeadingAdmissible:
 
 def reference_cones(own_pos, targets, p):
     return [collision_cone(own_pos, pos, vel, p.cone_radius + radius)
-            for pos, vel, radius in targets
-            if math.hypot(pos[0] - own_pos[0], pos[1] - own_pos[1]) <= p.R_safe]
+            for pos, vel, radius in targets]
 
 
 def reference_violations(cones, speed, heading):
@@ -142,7 +136,6 @@ params = st.builds(
                                         math.radians(5.0)]),
     max_course_change=st.sampled_from([math.radians(30.0), math.radians(90.0),
                                        math.radians(180.0)]),
-    R_safe=st.floats(5.0, 20.0),
 )
 
 
