@@ -103,6 +103,8 @@ class HarmonicParams:
     def __post_init__(self):
         if self.Lambda_sink >= 0.0:
             raise ValueError("Lambda_sink must be < 0 (sink)")
+        if self.R_tol_vortex <= 0.0 or self.in_extremis_range <= 0.0:
+            raise ValueError("R_tol_vortex and in_extremis_range must be > 0")
 
 
 @dataclass(frozen=True)

@@ -59,10 +59,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _check_runs(runs: int) -> None:
+    # the summary statistics need two runs; refuse before any run starts
+    if runs < 2:
+        raise ValueError("--runs must be >= 2")
+
+
 def cmd_batch(args) -> int:
     try:
         env = montecarlo.EnvSpec.by_id(args.env)
         method = resolve_method(args.method)
+        _check_runs(args.runs)
         spec = montecarlo.BatchSpec(env=env, method=method, n_runs=args.runs,
                                     master_seed=args.seed, jobs=args.jobs)
     except (ValueError, ScenarioError) as exc:
@@ -87,6 +94,9 @@ def cmd_compare(args) -> int:
     try:
         env = montecarlo.EnvSpec.by_id(args.env)
         methods = [resolve_method(m.strip()) for m in args.methods.split(",")]
+        _check_runs(args.runs)
+        # validate every batch before the first one runs
+        montecarlo.paired_specs(env, methods, args.runs, args.seed, args.jobs)
     except (ValueError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -155,7 +165,7 @@ def cmd_validate(args) -> int:
     try:
         serialize.load_scenario(args.scenario)
     except (OSError, ScenarioError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     print("ok")
     return 0

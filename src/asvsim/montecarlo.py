@@ -6,10 +6,13 @@ entities, every goal at least 50L from its own start, dynamic traffic runs
 at uniform random speed in [0.5, 1.0] of design speed with uniform random
 heading, and all vessels run the same avoidance method as the own ship.
 
-Child RNG streams derive from ``SeedSequence(master_seed, spawn_key=(i,))``
-so run i is reproducible in isolation and batches are independent of the
-parallelism degree.  Wall-clock guidance timing is collected per run but
-kept out of the deterministic per-run records.
+Run i draws from its own stream, a pure function of (master_seed, i), so
+it is reproducible in isolation and batches are independent of the
+parallelism degree.  The stream is a pure-Python port of numpy's
+``Generator(PCG64(SeedSequence(master_seed, spawn_key=(i,)))).uniform``
+(SeedSequence hashing, PCG64 XSL-RR 128/64, 53-bit doubles) and equals it
+bit for bit, so the simulator needs no numpy.  Wall-clock guidance timing
+is collected per run but kept out of the deterministic per-run records.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ import statistics
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .apf import FieldSingularity, StaticObstacle
 from .engine import METHODS, AgentSpec, Scenario, SimConfig, SimulationError, run
@@ -76,6 +77,8 @@ class BatchSpec:
     def __post_init__(self):
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -95,11 +98,103 @@ class AggregateStats:
     mean_guidance_call_us: float = 0.0
 
 
-def _sample_point(rng: np.random.Generator, half: float) -> Tuple[float, float]:
-    return (float(rng.uniform(-half, half)), float(rng.uniform(-half, half)))
+# ---------------------------------------------------------------------------
+# random stream: numpy's SeedSequence, PCG64 and Generator.uniform, ported
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _place(rng: np.random.Generator, half: float, placed: List[Tuple[float, float]],
+def _words32(n: int) -> List[int]:
+    """Little-endian 32-bit words of a non-negative integer; 0 is [0]."""
+    if n < 0:
+        raise ValueError("seed and run index must be >= 0")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _seed_sequence_state(entropy: int, spawn_index: int) -> List[int]:
+    """``SeedSequence(entropy, spawn_key=(spawn_index,)).generate_state(4, uint64)``."""
+    run_words = _words32(entropy)
+    # with a spawn key the run entropy is zero-padded to the pool size
+    words = run_words + [0] * (_POOL_SIZE - len(run_words)) + _words32(spawn_index)
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for w in words[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(w))
+
+    # eight 32-bit words, paired little-endian into four 64-bit words
+    hash_const = _INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        out.append(value ^ (value >> 16))
+    return [out[2 * k] | (out[2 * k + 1] << 32) for k in range(4)]
+
+
+class PCG64Stream:
+    """The random stream of one run: PCG64 (XSL-RR 128/64), seeded as
+    ``pcg_setseq_128_srandom_r``; its ``uniform`` equals numpy's
+    ``Generator.uniform`` for scalar bounds."""
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, initstate: int, initseq: int):
+        self._inc = ((initseq << 1) | 1) & _MASK128
+        self._state = ((self._inc + initstate) * _PCG_MULT + self._inc) & _MASK128
+
+    def uniform(self, low: float, high: float) -> float:
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        x = ((s >> 64) ^ s) & _MASK64
+        rot = s >> 122
+        x = ((x >> rot) | (x << (64 - rot))) & _MASK64
+        # the top 53 bits as a double in [0, 1), as numpy's next_double
+        return low + (high - low) * ((x >> 11) * 2.0 ** -53)
+
+
+def child_rng(master_seed: int, run_index: int) -> PCG64Stream:
+    """Independent stream for one run, a pure function of (seed, index)."""
+    words = _seed_sequence_state(master_seed, run_index)
+    return PCG64Stream((words[0] << 64) | words[1], (words[2] << 64) | words[3])
+
+
+# ---------------------------------------------------------------------------
+# scenario sampling
+
+def _sample_point(rng: PCG64Stream, half: float) -> Tuple[float, float]:
+    return (rng.uniform(-half, half), rng.uniform(-half, half))
+
+
+def _place(rng: PCG64Stream, half: float, placed: List[Tuple[float, float]],
            min_sep: float) -> Tuple[float, float]:
     """Redraw one point until it clears every previously placed entity."""
     for _ in range(_REJECTION_BUDGET):
@@ -109,7 +204,7 @@ def _place(rng: np.random.Generator, half: float, placed: List[Tuple[float, floa
     raise SamplingError("rejection budget exhausted while placing an entity")
 
 
-def _place_goal(rng: np.random.Generator, half: float, start: Tuple[float, float],
+def _place_goal(rng: PCG64Stream, half: float, start: Tuple[float, float],
                 min_dist: float, keep_clear: List[Tuple[float, float]],
                 min_sep: float) -> Tuple[float, float]:
     """Goal must be far from its own start and clear of static obstacles and
@@ -123,7 +218,7 @@ def _place_goal(rng: np.random.Generator, half: float, start: Tuple[float, float
     raise SamplingError("rejection budget exhausted while placing a goal")
 
 
-def sample_scenario(env: EnvSpec, rng: np.random.Generator,
+def sample_scenario(env: EnvSpec, rng: PCG64Stream,
                     method: str = "apf_mvortex") -> Scenario:
     """Draw one random scenario.
 
@@ -157,10 +252,9 @@ def sample_scenario(env: EnvSpec, rng: np.random.Generator,
         goals_placed.append(g)
         dyn_goals.append(g)
 
-    headings = [float(rng.uniform(-math.pi, math.pi))
-                for _ in range(1 + env.n_dynamic)]
+    headings = [rng.uniform(-math.pi, math.pi) for _ in range(1 + env.n_dynamic)]
     lo, hi = env.speed_range
-    speeds = [float(rng.uniform(lo, hi)) for _ in range(env.n_dynamic)]
+    speeds = [rng.uniform(lo, hi) for _ in range(env.n_dynamic)]
 
     agents = [AgentSpec(id=0, start=own_start, heading=headings[0], speed=1.0,
                         waypoints=(own_goal,), method=method)]
@@ -182,12 +276,6 @@ def scenario_hash(scenario: Scenario) -> str:
     for o in scenario.static_obstacles:
         parts.append(f"s:{o.center!r}:{o.R_obs!r}")
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
-
-
-def child_rng(master_seed: int, run_index: int) -> np.random.Generator:
-    """Independent stream for one run, a pure function of (seed, index)."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(run_index,))))
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +378,20 @@ def aggregate(records: Sequence[dict]) -> AggregateStats:
     )
 
 
+def paired_specs(env: EnvSpec, methods: Sequence[str], n_runs: int,
+                 master_seed: int, jobs: int = 1) -> List[BatchSpec]:
+    """One validated batch per method, all on the same seed and so on the
+    same scenarios."""
+    return [BatchSpec(env=env, method=m, n_runs=n_runs, master_seed=master_seed,
+                      jobs=jobs) for m in methods]
+
+
 def compare_methods(env: EnvSpec, methods: Sequence[str], n_runs: int,
                     master_seed: int, jobs: int = 1) -> dict:
-    """Paired comparison: every method replays the identical scenario set."""
-    per_method: Dict[str, List[dict]] = {}
-    for method in methods:
-        per_method[method] = run_batch(BatchSpec(
-            env=env, method=method, n_runs=n_runs, master_seed=master_seed,
-            jobs=jobs))
+    """Paired comparison: every method replays the identical scenario set.
+    Every batch is validated before the first one runs."""
+    specs = paired_specs(env, methods, n_runs, master_seed, jobs)
+    per_method: Dict[str, List[dict]] = {s.method: run_batch(s) for s in specs}
     hashes = None
     for method, records in per_method.items():
         h = [r["scenario_hash"] for r in records]

@@ -20,7 +20,7 @@ from .engine import METHODS, AgentSpec, Scenario, SimConfig, SimResult
 from .guidance import ILOSParams, PDGains
 from .vo import VOParams
 
-if TYPE_CHECKING:  # annotations only: montecarlo pulls in numpy
+if TYPE_CHECKING:  # annotations only: montecarlo pulls in multiprocessing
     from .montecarlo import AggregateStats
 
 SCENARIO_SCHEMA_VERSION = "scenario-1"
@@ -186,8 +186,11 @@ def parse_scenario(doc: dict) -> Scenario:
         _fail("scenario.agents", "must be a non-empty list")
     agents = [_parse_agent(a, f"agents[{i}]") for i, a in enumerate(agents_doc)]
 
+    statics_doc = doc.get("static_obstacles", [])
+    if not isinstance(statics_doc, list):
+        _fail("static_obstacles", "must be a list")
     statics = []
-    for i, o in enumerate(doc.get("static_obstacles", [])):
+    for i, o in enumerate(statics_doc):
         path = f"static_obstacles[{i}]"
         if not isinstance(o, dict):
             _fail(path, "must be an object")

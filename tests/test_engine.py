@@ -292,9 +292,10 @@ class TestScenarioValidation:
 
 
 def test_simulation_path_imports_without_numpy():
-    # scenario parsing, simulation and result writing need no numpy; only
-    # the Monte Carlo harness does
-    code = ("import sys, asvsim.engine, asvsim.scenarios, asvsim.serialize; "
+    # no part of the package needs numpy: simulation, scenario files, the
+    # Monte Carlo harness, the plots and the CLI
+    code = ("import sys, asvsim.engine, asvsim.scenarios, asvsim.serialize, "
+            "asvsim.montecarlo, asvsim.cli, asvsim.plots; "
             "assert 'numpy' not in sys.modules, 'numpy imported'")
     src = os.path.dirname(os.path.dirname(asvsim.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -69,19 +69,59 @@ class TestSampling:
         assert s1.agents == s2.agents
 
 
+def _draws(rng, n):
+    return [rng.uniform(0.0, 1.0) for _ in range(n)]
+
+
 class TestSeedSplitting:
     def test_child_streams_never_coincide(self):
         for i, j in [(0, 1), (0, 2), (5, 17)]:
-            a = child_rng(99, i).random(1_000_000)
-            b = child_rng(99, j).random(1_000_000)
-            assert not np.array_equal(a, b)
+            a = _draws(child_rng(99, i), 1_000_000)
+            b = _draws(child_rng(99, j), 1_000_000)
+            assert a != b
             # statistically independent draws agree almost nowhere
-            assert np.count_nonzero(a == b) == 0
+            assert sum(x == y for x, y in zip(a, b)) == 0
 
     def test_same_index_reproduces(self):
-        a = child_rng(99, 3).random(1000)
-        b = child_rng(99, 3).random(1000)
-        assert np.array_equal(a, b)
+        a = _draws(child_rng(99, 3), 1000)
+        b = _draws(child_rng(99, 3), 1000)
+        assert a == b
+
+
+#: the bounds sample_scenario draws with: positions, headings, speeds
+SAMPLER_RANGES = [(-50.0, 50.0), (-math.pi, math.pi), (0.5, 1.0)]
+
+
+class TestStreamMatchesNumpy:
+    """child_rng is a port of numpy's SeedSequence -> PCG64 -> uniform; the
+    draws, and so every sampled scenario, must equal numpy's bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("run_index", [0, 1, 199, 70000])
+    def test_uniform_draws_equal_numpy(self, seed, run_index):
+        ours = child_rng(seed, run_index)
+        ref = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(seed, spawn_key=(run_index,))))
+        for lo, hi in SAMPLER_RANGES:
+            got = [ours.uniform(lo, hi) for _ in range(1000)]
+            want = [float(ref.uniform(lo, hi)) for _ in range(1000)]
+            assert got == want, (lo, hi)
+
+    def test_seed_state_equals_numpy(self):
+        for seed in (0, 2**64 + 5, 2**160 + 3):  # the last has > 4 words of entropy
+            for run_index in (0, 2**40):
+                want = np.random.SeedSequence(seed, spawn_key=(run_index,))
+                assert (montecarlo._seed_sequence_state(seed, run_index)
+                        == [int(w) for w in want.generate_state(4, np.uint64)])
+
+    def test_negative_seed_or_index_rejected(self):
+        with pytest.raises(ValueError):
+            child_rng(-1, 0)
+        with pytest.raises(ValueError):
+            child_rng(0, -1)
+        with pytest.raises(ValueError, match="master_seed"):
+            BatchSpec(env=EnvSpec.by_id(1), method="apf_mvortex", n_runs=2,
+                      master_seed=-1)
 
 
 class TestBatch:

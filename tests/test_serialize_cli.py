@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from asvsim import scenarios
+from asvsim.apf import HarmonicParams
 from asvsim.cli import main
 from asvsim.engine import AgentSpec, Scenario, SimConfig, run
 from asvsim.plots import pairwise_distances, sample_field
@@ -73,6 +74,12 @@ class TestScenarioParsing:
                           waypoints=((60.0, 0.0),))
         assert parsed == Scenario(agents=[agent], config=SimConfig(R_safe=20.0))
 
+    @pytest.mark.parametrize("value", [None, {}, "none", 3])
+    def test_static_obstacles_must_be_a_list(self, value):
+        doc = dict(MINIMAL, static_obstacles=value)
+        with pytest.raises(ScenarioError, match="^static_obstacles: must be a list$"):
+            parse_scenario(doc)
+
     def test_bad_agent_speed_names_path(self):
         doc = {"agents": [{"id": 0, "start": [0, 0], "speed": 5.0,
                            "waypoints": [[60, 0]]}]}
@@ -126,6 +133,14 @@ class TestSchemaParity:
         doc[block][key] = 0
         with pytest.raises(ScenarioError, match=f"^{re.escape(path)}: "):
             parse_scenario(doc)
+
+    @pytest.mark.parametrize("field", ["R_tol_vortex", "in_extremis_range"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_harmonic_params_reject_what_the_parser_rejects(self, field, value):
+        # a programmatic scenario gets the same check as apf.r_tol_vortex
+        # and apf.in_extremis_range in a file
+        with pytest.raises(ValueError, match=field):
+            HarmonicParams(**{field: value})
 
 
 class TestTrajectoryCSV:
@@ -254,6 +269,30 @@ class TestCLI:
               "--seed", "9", "--jobs", "2", "--out", str(tmp_path / "j2")])
         assert ((tmp_path / "j1" / "summary.json").read_bytes()
                 == (tmp_path / "j2" / "summary.json").read_bytes())
+
+    def test_validate_rejects_non_list_static_obstacles(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(MINIMAL, static_obstacles=None)))
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        assert capsys.readouterr().err == "error: static_obstacles: must be a list\n"
+
+    @pytest.mark.parametrize("cmd", [
+        ["batch", "--method", "mvortex"],
+        ["compare", "--methods", "mvortex,inverse"],
+    ], ids=["batch", "compare"])
+    @pytest.mark.parametrize("bad", [["--seed", "-1"], ["--runs", "1"]],
+                             ids=["negative_seed", "one_run"])
+    def test_monte_carlo_commands_reject_before_running(self, tmp_path, capsys,
+                                                        monkeypatch, cmd, bad):
+        def no_run(spec):
+            raise AssertionError("a batch ran")
+
+        monkeypatch.setattr("asvsim.montecarlo.run_batch", no_run)
+        code = main([*cmd, "--env", "1", "--runs", "2", "--jobs", "1", *bad,
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_batch_invalid_env(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
