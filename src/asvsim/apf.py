@@ -112,7 +112,9 @@ class ChannelBoundary:
     """Two parallel channel walls, each given as a line segment.
 
     Line sources on the walls repel the vessel toward the channel interior
-    whenever it is within ``activation_distance`` of a wall.
+    whenever it is within ``activation_distance`` of a wall.  Each wall's
+    line frame (origin, unit tangent, unit normal toward the other wall) and
+    the channel width are computed once, on construction.
     """
 
     boundary_a: Tuple[Vec2, Vec2]
@@ -123,34 +125,38 @@ class ChannelBoundary:
     def __post_init__(self):
         if self.activation_distance <= 0.0 or self.Lambda_src <= 0.0:
             raise ValueError("activation distance and source strength must be > 0")
-
-    def _line_frame(self, seg: Tuple[Vec2, Vec2]) -> Tuple[Vec2, Vec2]:
-        (x0, y0), (x1, y1) = seg
-        dx, dy = x1 - x0, y1 - y0
-        L = math.hypot(dx, dy)
-        if L < 1e-9:
-            raise ValueError("degenerate boundary segment")
-        return (x0, y0), (dx / L, dy / L)
+        lines = []
+        for (x0, y0), (x1, y1) in (self.boundary_a, self.boundary_b):
+            dx, dy = x1 - x0, y1 - y0
+            L = math.hypot(dx, dy)
+            if L < 1e-9:
+                raise ValueError("degenerate boundary segment")
+            lines.append((x0, y0, dx / L, dy / L))
+        (ax, ay, atx, aty), (bx, by, btx, bty) = lines
+        if abs(atx * bty - aty * btx) > 1e-9:
+            raise ValueError("channel walls must be parallel")
+        width = abs(-aty * (bx - ax) + atx * (by - ay))
+        if width < 1e-9:
+            raise ValueError("channel walls must not lie on one line")
+        walls = []
+        for (ox, oy, tx, ty), (px, py, _, _) in ((lines[0], lines[1]), (lines[1], lines[0])):
+            side = -ty * (px - ox) + tx * (py - oy)
+            sign = 1.0 if side >= 0.0 else -1.0
+            walls.append((ox, oy, tx, ty, sign * -ty, sign * tx))
+        # frozen: the derived frames are set past the generated __setattr__
+        object.__setattr__(self, "_walls", tuple(walls))
+        object.__setattr__(self, "_width", width)
 
     def signed_offsets(self, pos: Vec2) -> Tuple[float, float]:
-        """Perpendicular distances from pos to wall lines a and b (unsigned),
-        plus a sign convention check that pos lies between the walls."""
-        da = self._perp_distance(pos, self.boundary_a)
-        db = self._perp_distance(pos, self.boundary_b)
-        return da, db
-
-    def _perp_distance(self, pos: Vec2, seg: Tuple[Vec2, Vec2]) -> float:
-        origin, t = self._line_frame(seg)
-        rx, ry = pos[0] - origin[0], pos[1] - origin[1]
-        return abs(-t[1] * rx + t[0] * ry)
-
-    def width(self) -> float:
-        # distance between the (parallel) wall lines
-        return self._perp_distance(self.boundary_b[0], self.boundary_a)
+        """Perpendicular distances from pos to wall lines a and b (unsigned)."""
+        (ax, ay, atx, aty, _, _), (bx, by, btx, bty, _, _) = self._walls
+        x, y = pos
+        return (abs(-aty * (x - ax) + atx * (y - ay)),
+                abs(-bty * (x - bx) + btx * (y - by)))
 
     def contains(self, pos: Vec2) -> bool:
         da, db = self.signed_offsets(pos)
-        w = self.width()
+        w = self._width
         return da <= w + 1e-9 and db <= w + 1e-9
 
 
@@ -325,21 +331,13 @@ def boundary_source_velocity(pos: Vec2, ch: ChannelBoundary) -> Vec2:
     if not ch.contains(pos):
         raise FieldSingularity("position outside the channel")
     vx = vy = 0.0
-    for seg, other in ((ch.boundary_a, ch.boundary_b), (ch.boundary_b, ch.boundary_a)):
-        origin, t = ch._line_frame(seg)
-        rx, ry = pos[0] - origin[0], pos[1] - origin[1]
-        off = -t[1] * rx + t[0] * ry
-        dist = abs(off)
+    for ox, oy, tx, ty, nx, ny in ch._walls:
+        dist = abs(-ty * (pos[0] - ox) + tx * (pos[1] - oy))
         if dist > ch.activation_distance:
             continue
-        dist = max(dist, 1e-9)
-        # normal pointing from this wall toward the other wall
-        ox, oy = other[0][0] - origin[0], other[0][1] - origin[1]
-        side = -t[1] * ox + t[0] * oy
-        sign = 1.0 if side >= 0.0 else -1.0
-        mag = ch.Lambda_src / (TWO_PI * dist)
-        vx += mag * sign * (-t[1])
-        vy += mag * sign * t[0]
+        mag = ch.Lambda_src / (TWO_PI * max(dist, 1e-9))
+        vx += mag * nx
+        vy += mag * ny
     return (vx, vy)
 
 

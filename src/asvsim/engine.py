@@ -168,16 +168,10 @@ class SimResult:
     guidance_time_us_mean: float
     # populated only when the run records full time series
     trajectories: Optional[List[List[tuple]]] = None
-    pair_distances: Optional[Dict[str, List[Tuple[float, float]]]] = None
 
     @property
     def outcomes(self) -> List[str]:
         return [a.outcome for a in self.agents]
-
-
-# Trajectory row layout (matches the trajectory CSV column order).
-ROW_FIELDS = ("t_prime", "x_L", "y_L", "psi_rad", "u_nd", "v_nd", "r_nd",
-              "delta_rad", "delta_c_rad", "psi_d_rad", "mode", "y_e_L")
 
 
 class _AgentRuntime:
@@ -187,7 +181,7 @@ class _AgentRuntime:
         "spec", "deriv", "x", "y", "psi", "u", "v", "r", "delta",
         "path", "y_int", "done", "time_to_goal", "frozen_psi_d", "prev_psi_d",
         "collided", "min_ship_distance", "min_static_clearance",
-        "ce_int", "ye_int", "prev_abs_delta", "prev_abs_ye", "have_prev",
+        "ce_int", "ye_int", "prev_abs_delta", "prev_abs_ye",
         "rows", "last_delta_c", "last_psi_d", "last_mode", "waypoints_reached",
         "encounters", "vo_heading", "frame", "view",
     )
@@ -215,7 +209,6 @@ class _AgentRuntime:
         self.ye_int = 0.0
         self.prev_abs_delta = 0.0
         self.prev_abs_ye = 0.0
-        self.have_prev = False
         self.rows: List[tuple] = []
         self.last_delta_c = 0.0
         self.last_psi_d = wrap_angle(spec.heading)
@@ -261,7 +254,6 @@ class World:
         self.step_index = 0
         self.end_reason: Optional[str] = None
         self.collision_pair: Optional[Tuple[str, str]] = None
-        self.pair_distances: Dict[str, List[Tuple[float, float]]] = {}
         self.guidance_ns = 0
         self.guidance_calls = 0
         self._statics = [(o.center[0], o.center[1], o.R_obs)
@@ -292,7 +284,6 @@ class World:
         cfg = self.cfg
         R_safe = cfg.R_safe
         threshold = cfg.collision_threshold
-        record = self.record
         hypot = math.hypot
         statics = self._statics
         n = len(ags)
@@ -314,9 +305,6 @@ class World:
                 if dist <= R_safe:
                     near_ships[i].append(j)
                     near_ships[j].append(i)
-                    if record:
-                        key = f"{ai.spec.id}-{aj.spec.id}"
-                        self.pair_distances.setdefault(key, []).append((self.t, dist))
                 if dist < threshold:
                     if self.collision_pair is None:
                         self.collision_pair = (str(ai.spec.id), str(aj.spec.id))
@@ -330,9 +318,6 @@ class World:
                     ai.min_static_clearance = clearance
                 if dist <= R_safe:
                     near_statics[i].append(k)
-                    if record:
-                        key = f"{ai.spec.id}-s{k}"
-                        self.pair_distances.setdefault(key, []).append((self.t, dist))
                 if clearance < threshold:
                     if self.collision_pair is None:
                         self.collision_pair = (str(ai.spec.id), f"static:{k}")
@@ -350,7 +335,6 @@ class World:
         scn = self.scenario
         dt = self.cfg.dt
         t = self.t
-        record = self.record
         ilos = scn.ilos
         R_tol = ilos.R_tol
         gains = scn.gains
@@ -374,49 +358,48 @@ class World:
             x_e, y_e = track_errors(pos, ag.frame)
             views = views_in_range(idx)
 
-            if ag.done:
-                # after goal capture the vessel holds its course (constant
-                # RPM, no stopping) but keeps avoiding traffic; the sink is
-                # projected well ahead along the held course
-                hold = ag.frozen_psi_d if ag.frozen_psi_d is not None else ag.psi
-                if views:
-                    mode = MODE_REACTIVE
-                    virtual_goal = (ag.x + 50.0 * math.cos(hold),
-                                    ag.y + 50.0 * math.sin(hold))
-                    psi_d = self._reactive_heading(ag, views, virtual_goal)
-                    ag.prev_psi_d = psi_d
-                else:
-                    mode = MODE_ILOS
-                    psi_d = hold
-                    ag.vo_heading = None
-            elif views:
+            # after goal capture the vessel holds its course (constant RPM,
+            # no stopping) but keeps avoiding traffic; the sink is then
+            # projected well ahead along the held course
+            if views:
                 mode = MODE_REACTIVE
-                psi_d = self._reactive_heading(ag, views, ag.path.active_target)
+                if ag.done:
+                    hold = ag.frozen_psi_d
+                    goal = (ag.x + 50.0 * math.cos(hold), ag.y + 50.0 * math.sin(hold))
+                else:
+                    goal = ag.path.active_target
+                psi_d = self._reactive_heading(ag, views, goal)
                 ag.prev_psi_d = psi_d
             else:
                 mode = MODE_ILOS
-                psi_d = ilos_desired_heading(ag.frame.angle, y_e, ag.y_int, ilos)
-                ag.y_int += dt * ilos_integrator_derivative(y_e, ag.y_int, ilos)
-                ag.prev_psi_d = psi_d
                 ag.vo_heading = None
+                if ag.done:
+                    psi_d = ag.frozen_psi_d
+                else:
+                    psi_d = ilos_desired_heading(ag.frame.angle, y_e, ag.y_int, ilos)
+                    ag.y_int += dt * ilos_integrator_derivative(y_e, ag.y_int, ilos)
+                    ag.prev_psi_d = psi_d
 
-            delta_c = pd_rudder_command(ag.psi, psi_d, ag.r, gains, limits)
-            ag.last_delta_c = delta_c
+            ag.last_delta_c = pd_rudder_command(ag.psi, psi_d, ag.r, gains, limits)
             ag.last_psi_d = psi_d
             ag.last_mode = mode
+            self._observe_row(ag, y_e)
 
-            abs_delta = abs(ag.delta)
-            abs_ye = abs(y_e)
-            if ag.have_prev:
-                ag.ce_int += 0.5 * (ag.prev_abs_delta + abs_delta) * dt
-                ag.ye_int += 0.5 * (ag.prev_abs_ye + abs_ye) * dt
-            ag.prev_abs_delta = abs_delta
-            ag.prev_abs_ye = abs_ye
-            ag.have_prev = True
-
-            if record:
-                ag.rows.append((t, ag.x, ag.y, ag.psi, ag.u, ag.v, ag.r,
-                                ag.delta, delta_c, psi_d, mode, y_e))
+    def _observe_row(self, ag: _AgentRuntime, y_e: float) -> None:
+        """Advance the agent's CE/MCTE trapezoid integrals to the current
+        state and, when recording, append its trajectory row (state plus the
+        latest commands)."""
+        abs_delta = abs(ag.delta)
+        abs_ye = abs(y_e)
+        if self.step_index > 0:
+            dt = self.cfg.dt
+            ag.ce_int += 0.5 * (ag.prev_abs_delta + abs_delta) * dt
+            ag.ye_int += 0.5 * (ag.prev_abs_ye + abs_ye) * dt
+        ag.prev_abs_delta = abs_delta
+        ag.prev_abs_ye = abs_ye
+        if self.record:
+            ag.rows.append((self.t, ag.x, ag.y, ag.psi, ag.u, ag.v, ag.r, ag.delta,
+                            ag.last_delta_c, ag.last_psi_d, ag.last_mode, y_e))
 
     def _views_in_range(self, idx: int) -> List[ObstacleView]:
         """Obstacle views (other vessels + statics) within the detection
@@ -548,18 +531,8 @@ class World:
 
     def _final_observation(self) -> None:
         """Close metric integrals and record the final state row."""
-        dt = self.cfg.dt
         for ag in self.agents:
-            _, y_e = track_errors((ag.x, ag.y), ag.frame)
-            abs_delta = abs(ag.delta)
-            abs_ye = abs(y_e)
-            if ag.have_prev and self.step_index > 0:
-                ag.ce_int += 0.5 * (ag.prev_abs_delta + abs_delta) * dt
-                ag.ye_int += 0.5 * (ag.prev_abs_ye + abs_ye) * dt
-            if self.record:
-                ag.rows.append((self.t, ag.x, ag.y, ag.psi, ag.u, ag.v, ag.r,
-                                ag.delta, ag.last_delta_c, ag.last_psi_d,
-                                ag.last_mode, y_e))
+            self._observe_row(ag, track_errors((ag.x, ag.y), ag.frame)[1])
 
     def result(self) -> SimResult:
         if not self._finalized:
@@ -595,7 +568,6 @@ class World:
             guidance_calls=self.guidance_calls,
             guidance_time_us_mean=mean_us,
             trajectories=[ag.rows for ag in self.agents] if self.record else None,
-            pair_distances=self.pair_distances if self.record else None,
         )
 
 

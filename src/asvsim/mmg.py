@@ -136,11 +136,12 @@ class ActuatorLimits:
     """Rudder saturation (35 deg), rate cap and first-order time constant.
 
     The rate cap is non-dimensional: 5 deg/s at full scale corresponds to
-    radians(5) * L / U_des per unit t'.
+    radians(5) * L / U_des per unit t', which ``ShipModel`` derives from
+    the ship's particulars.
     """
 
+    delta_rate_max: float
     delta_max: float = DELTA_MAX
-    delta_rate_max: float = math.radians(5.0) * 230.0 / 12.347
     T_delta: float = 1.0
 
     def __post_init__(self):
@@ -238,10 +239,7 @@ class ShipModel:
         self.doc = doc
         self.ship, self.mass, self.coeffs = _coeffs_from_dict(doc)
         self.limits = ActuatorLimits(
-            delta_max=DELTA_MAX,
-            delta_rate_max=math.radians(5.0) * self.ship.L / self.ship.U_des,
-            T_delta=1.0,
-        )
+            delta_rate_max=math.radians(5.0) * self.ship.L / self.ship.U_des)
 
     @classmethod
     def from_file(cls, path: str) -> "ShipModel":

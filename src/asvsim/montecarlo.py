@@ -37,6 +37,13 @@ ENVIRONMENTS: Dict[int, Tuple[int, int]] = {
     5: (4, 9),
 }
 
+#: sampling geometry shared by every environment (see the module docstring)
+ARENA_SIDE = 100.0
+MIN_SEPARATION = 10.0
+MIN_GOAL_DISTANCE = 50.0
+STATIC_RADIUS = 0.5
+SPEED_RANGE = (0.5, 1.0)
+
 _REJECTION_BUDGET = 10_000
 
 
@@ -48,14 +55,9 @@ class SamplingError(RuntimeError):
 class EnvSpec:
     n_static: int
     n_dynamic: int
-    arena_side: float = 100.0
-    min_separation: float = 10.0
-    min_goal_distance: float = 50.0
-    static_radius: float = 0.5
-    speed_range: Tuple[float, float] = (0.5, 1.0)
 
     def __post_init__(self):
-        if self.n_static < 0 or self.n_dynamic < 0 or self.arena_side <= 0.0:
+        if self.n_static < 0 or self.n_dynamic < 0:
             raise ValueError("invalid environment spec")
 
     @classmethod
@@ -75,8 +77,9 @@ class BatchSpec:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be >= 1")
+        # the summary statistics need two runs; refuse before any run starts
+        if self.n_runs < 2:
+            raise ValueError("n_runs must be >= 2")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
         if self.method not in METHODS:
@@ -225,35 +228,35 @@ def sample_scenario(env: EnvSpec, rng: PCG64Stream,
     Draw order (fixed for reproducibility): own start, static positions,
     dynamic starts, own goal, dynamic goals, headings, speeds.
     """
-    half = env.arena_side / 2.0
+    half = ARENA_SIDE / 2.0
     placed: List[Tuple[float, float]] = []
 
     own_start = _sample_point(rng, half)
     placed.append(own_start)
     statics = []
     for _ in range(env.n_static):
-        p = _place(rng, half, placed, env.min_separation)
+        p = _place(rng, half, placed, MIN_SEPARATION)
         placed.append(p)
-        statics.append(StaticObstacle(center=p, R_obs=env.static_radius))
+        statics.append(StaticObstacle(center=p, R_obs=STATIC_RADIUS))
     dyn_starts = []
     for _ in range(env.n_dynamic):
-        p = _place(rng, half, placed, env.min_separation)
+        p = _place(rng, half, placed, MIN_SEPARATION)
         placed.append(p)
         dyn_starts.append(p)
 
     static_centers = [o.center for o in statics]
-    own_goal = _place_goal(rng, half, own_start, env.min_goal_distance,
-                           static_centers, env.min_separation)
+    own_goal = _place_goal(rng, half, own_start, MIN_GOAL_DISTANCE,
+                           static_centers, MIN_SEPARATION)
     goals_placed = [own_goal]
     dyn_goals = []
     for s in dyn_starts:
-        g = _place_goal(rng, half, s, env.min_goal_distance,
-                        static_centers + goals_placed, env.min_separation)
+        g = _place_goal(rng, half, s, MIN_GOAL_DISTANCE,
+                        static_centers + goals_placed, MIN_SEPARATION)
         goals_placed.append(g)
         dyn_goals.append(g)
 
     headings = [rng.uniform(-math.pi, math.pi) for _ in range(1 + env.n_dynamic)]
-    lo, hi = env.speed_range
+    lo, hi = SPEED_RANGE
     speeds = [rng.uniform(lo, hi) for _ in range(env.n_dynamic)]
 
     agents = [AgentSpec(id=0, start=own_start, heading=headings[0], speed=1.0,
@@ -281,6 +284,7 @@ def scenario_hash(scenario: Scenario) -> str:
 # ---------------------------------------------------------------------------
 # batch execution
 
+# loaded by _init_worker, which run_batch calls in every process it runs on
 _WORKER_MODEL: Optional[ShipModel] = None
 
 
@@ -300,9 +304,6 @@ def _run_one(args: Tuple[EnvSpec, str, int, int]) -> dict:
     never aborts the batch.
     """
     env, method, master_seed, run_index = args
-    global _WORKER_MODEL
-    if _WORKER_MODEL is None:
-        _WORKER_MODEL = ShipModel.default_kcs()
     rng = child_rng(master_seed, run_index)
     scenario = sample_scenario(env, rng, method=method)
     record = {

@@ -12,10 +12,8 @@ from .apf import (
     InverseSquareParams,
     ObstacleView,
     OwnShip,
-    inverse_square_gradient,
-    sink_velocity,
-    vortex_velocity,
-    modified_vortex_strength,
+    desired_heading_harmonic,
+    desired_heading_inverse_square,
 )
 from .engine import Scenario, SimConfig
 from .frames import Vec2
@@ -250,17 +248,24 @@ def plot_distances(rows_by_agent: Dict[int, List[tuple]], path: str,
 # vector fields
 
 
+#: the reactive fields ``sample_field`` can draw
+FIELD_KINDS = ("inverse", "sinkvortex", "mvortex")
+
+
 def sample_field(kind: str, goal: Vec2 = (10.0, 0.0), obstacle: Vec2 = (-10.0, 0.0),
                  half_extent: float = 20.0, n: int = 25,
                  probe_speed: float = 1.0) -> List[Tuple[float, float, float, float]]:
-    """Unit direction of the reactive field on a grid, for a probe vessel
-    heading +x at design speed (matching the reference field plots)."""
+    """Unit direction of the desired heading the guidance law steers by, on
+    a grid, for a probe vessel heading +x at design speed (matching the
+    reference field plots)."""
+    if kind not in FIELD_KINDS:
+        raise ValueError(f"unknown field kind {kind!r}; expected one of {FIELD_KINDS}")
     inverse = InverseSquareParams()
     harmonic = HarmonicParams()
     R_safe = 1e9  # field plots show the full domain
     arrows = []
-    obs_static = ObstacleView(position=obstacle, velocity_global=(0.0, 0.0),
-                              is_dynamic=False, radius=0.5)
+    obstacles = [ObstacleView(position=obstacle, velocity_global=(0.0, 0.0),
+                              is_dynamic=False, radius=0.5)]
     for i in range(n):
         for j in range(n):
             x = -half_extent + 2.0 * half_extent * i / (n - 1)
@@ -269,24 +274,13 @@ def sample_field(kind: str, goal: Vec2 = (10.0, 0.0), obstacle: Vec2 = (-10.0, 0
                 continue
             if math.hypot(x - goal[0], y - goal[1]) < 0.5:
                 continue
+            own = OwnShip(x, y, 0.0, probe_speed, 0.0)
             if kind == "inverse":
-                gx, gy = inverse_square_gradient((x, y), goal, [obs_static], inverse)
+                psi = desired_heading_inverse_square(own, goal, obstacles, inverse)
             else:
-                own = OwnShip(x, y, 0.0, probe_speed, 0.0)
-                sx, sy = sink_velocity((x, y), goal, harmonic.Lambda_sink)
-                if kind == "mvortex":
-                    K = modified_vortex_strength(own, obs_static, harmonic, R_safe)
-                else:
-                    K = harmonic.K_vor0
-                gx, gy = sx, sy
-                if K != 0.0:
-                    wx, wy = vortex_velocity((x, y), obstacle, K)
-                    gx += wx
-                    gy += wy
-            mag = math.hypot(gx, gy)
-            if mag < 1e-12:
-                continue
-            arrows.append((x, y, gx / mag, gy / mag))
+                psi = desired_heading_harmonic(own, goal, obstacles, None, harmonic, R_safe,
+                                               modified=(kind == "mvortex"))
+            arrows.append((x, y, math.cos(psi), math.sin(psi)))
     return arrows
 
 

@@ -352,8 +352,9 @@ def result_to_dict(result: SimResult, scenario: Scenario) -> dict:
     }
 
 
-def aggregate_to_dict(agg: AggregateStats, with_timing: bool = False) -> dict:
-    doc = {
+def aggregate_to_dict(agg: AggregateStats) -> dict:
+    """The deterministic aggregate statistics (no wall-clock timing)."""
+    return {
         "n_runs": agg.n_runs,
         "n_errors": agg.n_errors,
         "success_rate": agg.success_rate,
@@ -365,9 +366,6 @@ def aggregate_to_dict(agg: AggregateStats, with_timing: bool = False) -> dict:
         "mean_time_to_goal": agg.mean_time_to_goal,
         "time_to_goal_ci95": agg.ttg_ci,
     }
-    if with_timing:
-        doc["mean_guidance_call_us"] = agg.mean_guidance_call_us
-    return doc
 
 
 def strip_timing(record: dict) -> dict:
@@ -383,7 +381,7 @@ def batch_summary_dict(env_id, method: str, n_runs: int, master_seed: int,
         "method": METHOD_SHORT.get(method, method),
         "n_runs": n_runs,
         "master_seed": master_seed,
-        "aggregate": aggregate_to_dict(agg, with_timing=False),
+        "aggregate": aggregate_to_dict(agg),
         "records": [strip_timing(r) for r in records],
     }
 

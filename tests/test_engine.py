@@ -230,6 +230,18 @@ class TestMetrics:
     def test_mcte_zero_on_path(self, model):
         assert self._straight_run(model).mcte == 0.0
 
+    def test_integrals_start_at_the_first_row(self, model):
+        # the first waypoint lies within R_tol of the start, so the ship
+        # switches at t' = 0 onto a segment 1L away: no interval may be
+        # integrated before the first recorded row
+        agent = AgentSpec(id=0, start=(0, 0), heading=math.pi / 2, speed=1.0,
+                          waypoints=((1.0, 0.0), (1.0, 40.0)))
+        res = run(Scenario(agents=[agent], config=SimConfig(max_time=20.0)),
+                  model=model, record=True)
+        rows = res.trajectories[0]
+        assert abs(rows[0][11]) == pytest.approx(1.0)
+        assert res.agents[0].mcte == pytest.approx(trapezoid_mean(rows, 11), rel=1e-9)
+
 
 class TestOutcomes:
     def test_all_success(self, model, head_on_result):

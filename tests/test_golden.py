@@ -29,6 +29,18 @@ BATCH_DIGESTS = {
 #: sha256 of the recorded trajectory.csv of the canned three-ship scene
 THREE_SHIP_CSV_DIGEST = "fbf4963d76076b2462a3ba5a18314a73aef7532b0ca223f5f31b3359e271f9f3"
 
+#: sha256 of the recorded trajectory.csv of the canned scenes that exercise
+#: the channel-wall sources and the unmodified sink-vortex field
+SCENE_CSV_DIGESTS = {
+    "narrow_channel": "089e8d8c3f09f8b192e8e0443da381ee6ab6e16b51d477cb483b9957655b4fec",
+    "static_avoidance_sinkvortex":
+        "88d4c215d800d52514bc4abb3599bf7253393a3e4f89bc4968fdf8e8ad9df8cb",
+}
+SCENES = {
+    "narrow_channel": scenarios.narrow_channel,
+    "static_avoidance_sinkvortex": lambda: scenarios.static_avoidance("apf_sinkvortex"),
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -48,3 +60,11 @@ def test_three_ship_trajectory_csv_digest(model, tmp_path):
     path = tmp_path / "trajectory.csv"
     serialize.write_trajectory_csv(result, str(path))
     assert sha256(path.read_bytes()) == THREE_SHIP_CSV_DIGEST
+
+
+@pytest.mark.parametrize("scene", sorted(SCENE_CSV_DIGESTS))
+def test_scene_trajectory_csv_digest(scene, model, tmp_path):
+    result = run(SCENES[scene](), model=model, record=True)
+    path = tmp_path / "trajectory.csv"
+    serialize.write_trajectory_csv(result, str(path))
+    assert sha256(path.read_bytes()) == SCENE_CSV_DIGESTS[scene]

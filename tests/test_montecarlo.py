@@ -213,3 +213,12 @@ class TestCompare:
         h2 = [r["scenario_hash"] for r in out["records"]["apf_inverse"]]
         assert h1 == h2
         assert "apf_mvortex-apf_inverse" in out["success_rate_deltas"]
+
+    def test_one_run_rejected_before_any_batch(self, monkeypatch):
+        def no_run(spec):
+            raise AssertionError("a batch ran")
+
+        monkeypatch.setattr(montecarlo, "run_batch", no_run)
+        with pytest.raises(ValueError, match="n_runs must be >= 2"):
+            compare_methods(EnvSpec.by_id(1), ["apf_mvortex", "apf_inverse"],
+                            n_runs=1, master_seed=11, jobs=1)

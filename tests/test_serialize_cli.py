@@ -10,7 +10,7 @@ from asvsim import scenarios
 from asvsim.apf import HarmonicParams
 from asvsim.cli import main
 from asvsim.engine import AgentSpec, Scenario, SimConfig, run
-from asvsim.plots import pairwise_distances, sample_field
+from asvsim.plots import pairwise_distances, plot_field, sample_field
 from asvsim.serialize import (
     CSV_COLUMNS,
     PARAMETERS,
@@ -36,6 +36,20 @@ MINIMAL = {
     "agents": [
         {"id": 0, "start": [0.0, 0.0], "waypoints": [[60.0, 0.0]]}
     ]
+}
+
+#: channel walls that cannot bound a channel, with the message they get;
+#: the MINIMAL ship starts between the non-parallel ones
+BAD_WALLS = {
+    "zero_length_wall": ({"boundary_a": [[0, 5], [0, 5]],
+                          "boundary_b": [[0, -5], [60, -5]]},
+                         "degenerate boundary segment"),
+    "non_parallel_walls": ({"boundary_a": [[-10, 5], [60, 5]],
+                            "boundary_b": [[-10, -5], [60, -30]]},
+                           "channel walls must be parallel"),
+    "walls_on_one_line": ({"boundary_a": [[-10, 0], [20, 0]],
+                           "boundary_b": [[30, 0], [60, 0]]},
+                          "channel walls must not lie on one line"),
 }
 
 
@@ -79,6 +93,12 @@ class TestScenarioParsing:
         doc = dict(MINIMAL, static_obstacles=value)
         with pytest.raises(ScenarioError, match="^static_obstacles: must be a list$"):
             parse_scenario(doc)
+
+    @pytest.mark.parametrize("case", sorted(BAD_WALLS))
+    def test_bad_channel_walls_rejected(self, case):
+        walls, message = BAD_WALLS[case]
+        with pytest.raises(ScenarioError, match=f"^channel: {message}$"):
+            parse_scenario(dict(MINIMAL, channel=walls))
 
     def test_bad_agent_speed_names_path(self):
         doc = {"agents": [{"id": 0, "start": [0, 0], "speed": 5.0,
@@ -276,6 +296,14 @@ class TestCLI:
         assert main(["validate", "--scenario", str(bad)]) == 1
         assert capsys.readouterr().err == "error: static_obstacles: must be a list\n"
 
+    @pytest.mark.parametrize("case", sorted(BAD_WALLS))
+    def test_validate_rejects_bad_channel_walls(self, tmp_path, capsys, case):
+        walls, message = BAD_WALLS[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(MINIMAL, channel=walls)))
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: channel: {message}\n"
+
     @pytest.mark.parametrize("cmd", [
         ["batch", "--method", "mvortex"],
         ["compare", "--methods", "mvortex,inverse"],
@@ -361,6 +389,15 @@ class TestPlots:
         code = main(["plot", "--traj", str(out / "trajectory.csv"),
                      "--kind", "pie", "--out", str(out / "x.svg")])
         assert code == 1
+
+    def test_unknown_field_kind_fails(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown field kind 'vortex'"):
+            sample_field("vortex")
+        with pytest.raises(ValueError, match="unknown field kind 'vortex'"):
+            plot_field("vortex", str(tmp_path / "field.svg"))
+        assert main(["plot", "--field", "vortex",
+                     "--out", str(tmp_path / "field.svg")]) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_field_plot_starboard_arrows_avoid_obstacle(self, tmp_path):
         # probe on the starboard-approach side of the obstacle: the field
