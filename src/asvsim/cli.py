@@ -30,8 +30,6 @@ def cmd_simulate(args) -> int:
             scenario = scenario.with_method(resolve_method(args.method))
         if args.dt is not None:
             scenario = replace(scenario, config=replace(scenario.config, dt=args.dt))
-        if args.seed is not None:
-            scenario = replace(scenario, config=replace(scenario.config, seed=args.seed))
     except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -172,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--method", help="override the avoidance method for every agent")
     p.add_argument("--dt", type=float, help="integrator step (non-dimensional)")
-    p.add_argument("--seed", type=int, help="override the scenario seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("batch", help="run a seeded Monte Carlo batch")

@@ -45,7 +45,7 @@ from .guidance import (
     should_switch_waypoint,
     track_errors,
 )
-from .mmg import ShipModel, rudder_rate
+from .mmg import ShipModel, rudder_rate, self_propulsion_rpm
 from .vo import VOParams
 
 METHODS = ("apf_mvortex", "apf_sinkvortex", "apf_inverse", "velocity_obstacle")
@@ -84,14 +84,13 @@ class SimConfig:
     max_time: float = 400.0
     collision_threshold: float = 2.0
     R_safe: float = 15.0
-    seed: int = 0
     termination: str = "all"
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.max_time <= self.dt:
             raise ValueError("need dt > 0 and max_time > dt")
-        if self.R_safe <= 0.0:
-            raise ValueError("R_safe must be > 0")
+        if self.R_safe <= 0.0 or self.collision_threshold <= 0.0:
+            raise ValueError("R_safe and collision_threshold must be > 0")
         if self.termination not in ("all", "own"):
             raise ValueError("termination must be 'all' or 'own'")
 
@@ -188,7 +187,7 @@ class _AgentRuntime:
 
     def __init__(self, spec: AgentSpec, model: ShipModel):
         self.spec = spec
-        self.deriv = model.make_derivative(model.self_propulsion_rpm(spec.speed))
+        self.deriv = model.make_derivative(self_propulsion_rpm(spec.speed, model.coeffs))
         self.x, self.y = spec.start
         self.psi = wrap_angle(spec.heading)
         self.u = spec.speed

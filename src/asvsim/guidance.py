@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import List, NamedTuple
 
 from .frames import Vec2, wrap_angle
-from .mmg import DELTA_MAX, ActuatorLimits
+from .mmg import ActuatorLimits
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,9 @@ def should_switch_waypoint(pos: Vec2, wp_k1: Vec2, R_tol: float) -> bool:
 
 
 def pd_rudder_command(psi: float, psi_d: float, r: float, g: PDGains,
-                      limits: ActuatorLimits | None = None) -> float:
+                      limits: ActuatorLimits) -> float:
     """Commanded rudder from wrapped heading error; clamped at delta_max."""
-    cap = limits.delta_max if limits is not None else DELTA_MAX
+    cap = limits.delta_max
     e = wrap_angle(psi - psi_d)
     delta_c = -g.Kp_c * e - g.Kd_c * r
     if delta_c > cap:

@@ -150,6 +150,8 @@ class ActuatorLimits:
 
 
 _EPS_SPEED = 1e-9
+#: bracket width (rev/s) at which the self-propulsion bisection stops
+_RPM_TOL = 1e-8
 
 
 def _advance_ratio(u: float, n_prop: float, c: HydroCoeffs) -> float:
@@ -177,7 +179,7 @@ def rudder_rate(delta: float, delta_c: float, limits: ActuatorLimits) -> float:
     return math.copysign(limits.delta_rate_max, raw)
 
 
-def self_propulsion_rpm(target_u: float, c: HydroCoeffs, tol: float = 1e-8) -> float:
+def self_propulsion_rpm(target_u: float, c: HydroCoeffs) -> float:
     """Revolution rate (rev/s) balancing thrust and resistance at target_u.
 
     Bisection on the straight-run force residual X_P + X_H; raises
@@ -197,7 +199,7 @@ def self_propulsion_rpm(target_u: float, c: HydroCoeffs, tol: float = 1e-8) -> f
             raise CoefficientError("no self-propulsion point in bracket; bad coefficient table")
     if residual(lo) > 0.0:
         raise CoefficientError("thrust exceeds resistance at near-zero RPM; bad coefficient table")
-    while hi - lo > tol:
+    while hi - lo > _RPM_TOL:
         mid = 0.5 * (lo + hi)
         if residual(mid) < 0.0:
             lo = mid
@@ -250,9 +252,6 @@ class ShipModel:
     def default_kcs(cls) -> "ShipModel":
         text = resources.files("asvsim.data").joinpath("kcs_coeffs.json").read_text()
         return cls(json.loads(text))
-
-    def self_propulsion_rpm(self, target_u: float) -> float:
-        return self_propulsion_rpm(target_u, self.coeffs)
 
     def make_derivative(self, n_prop: float):
         """The vessel dynamics: closure d(x, y, psi, u, v, r, delta) -> 6 derivatives.

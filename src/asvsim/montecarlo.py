@@ -21,7 +21,6 @@ import hashlib
 import math
 import statistics
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .apf import FieldSingularity, StaticObstacle
@@ -339,6 +338,7 @@ def run_batch(spec: BatchSpec) -> List[dict]:
     if spec.jobs <= 1:
         _init_worker()
         return [_run_one(a) for a in args]
+    from multiprocessing import Pool  # only parallel batches load multiprocessing
     with Pool(processes=spec.jobs, initializer=_init_worker) as pool:
         return pool.map(_run_one, args)
 

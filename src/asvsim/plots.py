@@ -5,6 +5,7 @@ diagnostic rather than publication figures."""
 from __future__ import annotations
 
 import math
+import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .apf import (
@@ -21,34 +22,39 @@ from .frames import Vec2
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
+#: canvas margin (px) around the plot area, and axis intervals per axis
+MARGIN = 50
+N_TICKS = 6
+#: share of the data span left blank on each side of a plot
+PAD_FRAC = 0.08
+
 
 class SvgCanvas:
     """Minimal SVG writer with a world-to-viewport transform (y up)."""
 
     def __init__(self, x_range: Tuple[float, float], y_range: Tuple[float, float],
-                 width: int = 800, height: int = 600, margin: int = 50):
-        self.width, self.height, self.margin = width, height, margin
+                 width: int = 800, height: int = 600):
+        self.width, self.height = width, height
         self.x0, self.x1 = x_range
         self.y0, self.y1 = y_range
         span_x = max(self.x1 - self.x0, 1e-9)
         span_y = max(self.y1 - self.y0, 1e-9)
-        self.sx = (width - 2 * margin) / span_x
-        self.sy = (height - 2 * margin) / span_y
+        self.sx = (width - 2 * MARGIN) / span_x
+        self.sy = (height - 2 * MARGIN) / span_y
         self.parts: List[str] = []
 
     def tx(self, x: float) -> float:
-        return self.margin + (x - self.x0) * self.sx
+        return MARGIN + (x - self.x0) * self.sx
 
     def ty(self, y: float) -> float:
-        return self.height - self.margin - (y - self.y0) * self.sy
+        return self.height - MARGIN - (y - self.y0) * self.sy
 
-    def line(self, x0, y0, x1, y1, color="#000", width=1.0, dash: str = "", cls=""):
-        d = f' stroke-dasharray="{dash}"' if dash else ""
+    def line(self, x0, y0, x1, y1, color="#000", width=1.0, cls=""):
         c = f' class="{cls}"' if cls else ""
         self.parts.append(
             f'<line x1="{self.tx(x0):.2f}" y1="{self.ty(y0):.2f}" '
             f'x2="{self.tx(x1):.2f}" y2="{self.ty(y1):.2f}" '
-            f'stroke="{color}" stroke-width="{width}"{d}{c}/>')
+            f'stroke="{color}" stroke-width="{width}"{c}/>')
 
     def polyline(self, pts: Sequence[Tuple[float, float]], color="#000", width=1.5, cls=""):
         coords = " ".join(f"{self.tx(x):.2f},{self.ty(y):.2f}" for x, y in pts)
@@ -88,20 +94,19 @@ class SvgCanvas:
                 f'y2="{hy + 5 * math.sin(ang + side):.2f}" '
                 f'stroke="{color}" stroke-width="1.0"/>')
 
-    def axes(self, xlabel: str, ylabel: str, n_ticks: int = 6):
-        m = self.margin
+    def axes(self, xlabel: str, ylabel: str):
         self.parts.append(
-            f'<rect x="{m}" y="{m}" width="{self.width - 2 * m}" '
-            f'height="{self.height - 2 * m}" fill="none" stroke="#999"/>')
-        for i in range(n_ticks + 1):
-            xv = self.x0 + (self.x1 - self.x0) * i / n_ticks
-            yv = self.y0 + (self.y1 - self.y0) * i / n_ticks
+            f'<rect x="{MARGIN}" y="{MARGIN}" width="{self.width - 2 * MARGIN}" '
+            f'height="{self.height - 2 * MARGIN}" fill="none" stroke="#999"/>')
+        for i in range(N_TICKS + 1):
+            xv = self.x0 + (self.x1 - self.x0) * i / N_TICKS
+            yv = self.y0 + (self.y1 - self.y0) * i / N_TICKS
             self.parts.append(
-                f'<text x="{self.tx(xv):.1f}" y="{self.height - m + 18}" '
+                f'<text x="{self.tx(xv):.1f}" y="{self.height - MARGIN + 18}" '
                 f'font-size="10" fill="#333" text-anchor="middle" '
                 f'font-family="sans-serif">{xv:.3g}</text>')
             self.parts.append(
-                f'<text x="{m - 8}" y="{self.ty(yv):.1f}" font-size="10" fill="#333" '
+                f'<text x="{MARGIN - 8}" y="{self.ty(yv):.1f}" font-size="10" fill="#333" '
                 f'text-anchor="end" font-family="sans-serif">{yv:.3g}</text>')
         self.parts.append(
             f'<text x="{self.width / 2:.1f}" y="{self.height - 12}" font-size="12" '
@@ -118,14 +123,15 @@ class SvgCanvas:
                 f'<rect width="100%" height="100%" fill="white"/>\n{body}\n</svg>\n')
 
     def save(self, path: str):
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_svg())
 
 
-def _bounds(values, pad_frac=0.08, min_span=1.0):
+def _bounds(values, min_span=1.0):
     lo, hi = min(values), max(values)
     span = max(hi - lo, min_span)
-    pad = span * pad_frac
+    pad = span * PAD_FRAC
     return lo - pad, hi + pad
 
 
@@ -171,17 +177,16 @@ def plot_paths(rows_by_agent: Dict[int, List[tuple]], scenario: Optional[Scenari
     return canvas
 
 
-def _series_canvas(ts, series, ylabel, path, labels=None):
+def _series_canvas(ts, series, ylabel, path, labels):
     ys = [v for s in series for v in s]
     canvas = SvgCanvas(_bounds(ts, min_span=1e-6), _bounds(ys, min_span=1e-6))
     canvas.axes("t' (non-dimensional time)", ylabel)
     for i, s in enumerate(series):
         canvas.polyline(list(zip(ts, s)), color=PALETTE[i % len(PALETTE)],
                         cls=f"series-{i}")
-        if labels:
-            canvas.text(ts[0] + (ts[-1] - ts[0]) * 0.02,
-                        max(s) if s else 0.0, labels[i], size=10,
-                        color=PALETTE[i % len(PALETTE)])
+        canvas.text(ts[0] + (ts[-1] - ts[0]) * 0.02,
+                    max(s) if s else 0.0, labels[i], size=10,
+                    color=PALETTE[i % len(PALETTE)])
     canvas.save(path)
     return canvas
 
@@ -251,10 +256,16 @@ def plot_distances(rows_by_agent: Dict[int, List[tuple]], path: str,
 #: the reactive fields ``sample_field`` can draw
 FIELD_KINDS = ("inverse", "sinkvortex", "mvortex")
 
+#: the one geometry the field plots show: goal, static obstacle centre and
+#: radius, the half-extent of the square domain, and grid points per side
+FIELD_GOAL: Vec2 = (10.0, 0.0)
+FIELD_OBSTACLE: Vec2 = (-10.0, 0.0)
+FIELD_OBSTACLE_RADIUS = 0.5
+FIELD_HALF_EXTENT = 20.0
+FIELD_GRID_N = 25
 
-def sample_field(kind: str, goal: Vec2 = (10.0, 0.0), obstacle: Vec2 = (-10.0, 0.0),
-                 half_extent: float = 20.0, n: int = 25,
-                 probe_speed: float = 1.0) -> List[Tuple[float, float, float, float]]:
+
+def sample_field(kind: str) -> List[Tuple[float, float, float, float]]:
     """Unit direction of the desired heading the guidance law steers by, on
     a grid, for a probe vessel heading +x at design speed (matching the
     reference field plots)."""
@@ -264,17 +275,18 @@ def sample_field(kind: str, goal: Vec2 = (10.0, 0.0), obstacle: Vec2 = (-10.0, 0
     harmonic = HarmonicParams()
     R_safe = 1e9  # field plots show the full domain
     arrows = []
+    goal, obstacle, half, n = FIELD_GOAL, FIELD_OBSTACLE, FIELD_HALF_EXTENT, FIELD_GRID_N
     obstacles = [ObstacleView(position=obstacle, velocity_global=(0.0, 0.0),
-                              is_dynamic=False, radius=0.5)]
+                              is_dynamic=False, radius=FIELD_OBSTACLE_RADIUS)]
     for i in range(n):
         for j in range(n):
-            x = -half_extent + 2.0 * half_extent * i / (n - 1)
-            y = -half_extent + 2.0 * half_extent * j / (n - 1)
+            x = -half + 2.0 * half * i / (n - 1)
+            y = -half + 2.0 * half * j / (n - 1)
             if math.hypot(x - obstacle[0], y - obstacle[1]) < 1.0:
                 continue
             if math.hypot(x - goal[0], y - goal[1]) < 0.5:
                 continue
-            own = OwnShip(x, y, 0.0, probe_speed, 0.0)
+            own = OwnShip(x, y, 0.0, 1.0, 0.0)
             if kind == "inverse":
                 psi = desired_heading_inverse_square(own, goal, obstacles, inverse)
             else:
@@ -284,18 +296,16 @@ def sample_field(kind: str, goal: Vec2 = (10.0, 0.0), obstacle: Vec2 = (-10.0, 0
     return arrows
 
 
-def plot_field(kind: str, path: str, **kwargs) -> SvgCanvas:
-    arrows = sample_field(kind, **kwargs)
-    half = kwargs.get("half_extent", 20.0)
-    goal = kwargs.get("goal", (10.0, 0.0))
-    obstacle = kwargs.get("obstacle", (-10.0, 0.0))
+def plot_field(kind: str, path: str) -> SvgCanvas:
+    arrows = sample_field(kind)
+    half, goal, obstacle = FIELD_HALF_EXTENT, FIELD_GOAL, FIELD_OBSTACLE
     canvas = SvgCanvas((-half * 1.1, half * 1.1), (-half * 1.1, half * 1.1),
                        width=700, height=700)
     canvas.axes("x (L)", "y (L)")
     for x, y, ux, uy in arrows:
         canvas.arrow(x, y, ux, uy, scale=half / 18.0, cls="field-arrow")
-    canvas.circle(obstacle[0], obstacle[1], 0.5, color="#d62728", fill="#d62728",
-                  cls="obstacle")
+    canvas.circle(obstacle[0], obstacle[1], FIELD_OBSTACLE_RADIUS, color="#d62728",
+                  fill="#d62728", cls="obstacle")
     canvas.dot(goal[0], goal[1], r_px=5, color="#2ca02c", cls="goal")
     canvas.save(path)
     return canvas

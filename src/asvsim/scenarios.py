@@ -22,12 +22,11 @@ def square_tracking(side: float = 30.0, method: str = "apf_mvortex") -> Scenario
     return Scenario(agents=[agent], name="square_tracking")
 
 
-def static_avoidance(method: str = "apf_sinkvortex", goal_x: float = 50.0,
-                     obstacle_x: float = 25.0, obstacle_radius: float = 0.5) -> Scenario:
+def static_avoidance(method: str = "apf_sinkvortex", goal_x: float = 50.0) -> Scenario:
     """Single obstacle dead ahead on the way to a single goal waypoint."""
     agent = AgentSpec(id=0, start=(0.0, 0.0), heading=0.0, speed=1.0,
                       waypoints=((goal_x, 0.0),), method=method)
-    obstacle = StaticObstacle(center=(obstacle_x, 0.0), R_obs=obstacle_radius)
+    obstacle = StaticObstacle(center=(25.0, 0.0))
     return Scenario(agents=[agent], static_obstacles=[obstacle],
                     name=f"static_avoidance_{method}")
 
@@ -79,14 +78,14 @@ def three_ship(method: str = "apf_mvortex") -> Scenario:
     return Scenario(agents=[s1, s2, s3], name="three_ship")
 
 
-def narrow_channel(method: str = "apf_mvortex", width: float = 10.0) -> Scenario:
+def narrow_channel(method: str = "apf_mvortex") -> Scenario:
     """Head-on encounter inside a 10L-wide diagonal channel with wall sources."""
     p0, p1 = (0.0, 0.0), (50.0, 50.0)
     dx, dy = p1[0] - p0[0], p1[1] - p0[1]
     L = math.hypot(dx, dy)
     tx, ty = dx / L, dy / L
     nx, ny = -ty, tx
-    half = width / 2.0
+    half = 5.0  # half the channel width
     ext = 10.0  # extend walls beyond the endpoints
     wall = lambda sign: (
         (p0[0] - ext * tx + sign * half * nx, p0[1] - ext * ty + sign * half * ny),

@@ -20,7 +20,7 @@ from .engine import METHODS, AgentSpec, Scenario, SimConfig, SimResult
 from .guidance import ILOSParams, PDGains
 from .vo import VOParams
 
-if TYPE_CHECKING:  # annotations only: montecarlo pulls in multiprocessing
+if TYPE_CHECKING:  # annotations only: the scenario path does not load montecarlo
     from .montecarlo import AggregateStats
 
 SCENARIO_SCHEMA_VERSION = "scenario-1"
@@ -53,12 +53,12 @@ def _check_keys(doc: dict, allowed: set, path: str):
         _fail(path, f"unknown field(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
-NUMBER, POSITIVE, DEGREES, INTEGER = "number", "positive", "degrees", "integer"
+NUMBER, POSITIVE, DEGREES = "number", "positive", "degrees"
 
 #: Every parameter a scenario file may set, by Scenario attribute:
 #: (JSON block, dataclass, {JSON key: (dataclass field, kind)}).  A kind is
 #: NUMBER, POSITIVE (> 0), DEGREES (> 0, in degrees in the file and in
-#: radians in the dataclass), INTEGER, or a tuple of the allowed strings.
+#: radians in the dataclass), or a tuple of the allowed strings.
 #: Absent keys take the dataclass default, so the defaults live only there.
 PARAMETERS = {
     "ilos": ("guidance", ILOSParams, {
@@ -86,7 +86,6 @@ PARAMETERS = {
         "max_time": ("max_time", POSITIVE),
         "collision_threshold": ("collision_threshold", POSITIVE),
         "r_safe": ("R_safe", POSITIVE),
-        "seed": ("seed", INTEGER),
         "termination": ("termination", ("all", "own"))}),
     "channel": ("channel", ChannelBoundary, {
         "activation_distance": ("activation_distance", POSITIVE),
@@ -104,10 +103,6 @@ def _value(v, path: str, kind):
     if isinstance(kind, tuple):
         if v not in kind:
             _fail(path, "must be " + " or ".join(repr(k) for k in kind))
-        return v
-    if kind == INTEGER:
-        if not isinstance(v, int) or isinstance(v, bool):
-            _fail(path, "must be an integer")
         return v
     if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
         _fail(path, "must be a finite number")

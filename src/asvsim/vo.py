@@ -26,8 +26,8 @@ class VOParams:
     max_course_change: float = math.radians(90.0)
 
     def __post_init__(self):
-        if self.heading_resolution <= 0.0 or self.cone_radius <= 0.0:
-            raise ValueError("resolution and cone_radius must be > 0")
+        if min(self.cone_radius, self.heading_resolution, self.max_course_change) <= 0.0:
+            raise ValueError("cone_radius, resolution and max course change must be > 0")
 
 
 @dataclass(frozen=True)

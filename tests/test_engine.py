@@ -303,12 +303,26 @@ class TestScenarioValidation:
         assert all(a.method == "velocity_obstacle" for a in sc.agents)
 
 
-def test_simulation_path_imports_without_numpy():
-    # no part of the package needs numpy: simulation, scenario files, the
-    # Monte Carlo harness, the plots and the CLI
-    code = ("import sys, asvsim.engine, asvsim.scenarios, asvsim.serialize, "
-            "asvsim.montecarlo, asvsim.cli, asvsim.plots; "
-            "assert 'numpy' not in sys.modules, 'numpy imported'")
+def _run_in_fresh_interpreter(code: str) -> None:
     src = os.path.dirname(os.path.dirname(asvsim.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_simulation_path_imports_without_numpy():
+    # no part of the package needs numpy: simulation, scenario files, the
+    # Monte Carlo harness, the plots and the CLI
+    _run_in_fresh_interpreter(
+        "import sys, asvsim.engine, asvsim.scenarios, asvsim.serialize, "
+        "asvsim.montecarlo, asvsim.cli, asvsim.plots; "
+        "assert 'numpy' not in sys.modules, 'numpy imported'")
+
+
+def test_serial_batch_runs_without_multiprocessing():
+    # only a parallel batch (jobs > 1) loads multiprocessing
+    _run_in_fresh_interpreter(
+        "import sys, asvsim.montecarlo as mc; "
+        "assert 'multiprocessing' not in sys.modules, 'imported with montecarlo'; "
+        "mc.run_batch(mc.BatchSpec(env=mc.EnvSpec.by_id(1), method='apf_mvortex', "
+        "n_runs=2, master_seed=0)); "
+        "assert 'multiprocessing' not in sys.modules, 'imported by a serial batch'")

@@ -101,21 +101,23 @@ class TestWaypointSwitch:
 
 
 class TestPDCommand:
-    def test_no_error(self):
-        assert pd_rudder_command(0.0, 0.0, 0.0, PDGains()) == 0.0
+    def test_no_error(self, model):
+        assert pd_rudder_command(0.0, 0.0, 0.0, PDGains(), model.limits) == 0.0
 
-    def test_hand_value(self):
-        out = pd_rudder_command(0.1, 0.0, 0.0, PDGains(Kp_c=3.5, Kd_c=4.0))
+    def test_hand_value(self, model):
+        out = pd_rudder_command(0.1, 0.0, 0.0, PDGains(Kp_c=3.5, Kd_c=4.0),
+                                model.limits)
         assert out == pytest.approx(-0.35)
 
-    def test_clamped(self):
-        out = pd_rudder_command(-math.pi / 2, 0.0, 0.0, PDGains())
+    def test_clamped(self, model):
+        out = pd_rudder_command(-math.pi / 2, 0.0, 0.0, PDGains(), model.limits)
         assert out == DELTA_35
 
-    def test_error_wraps(self):
+    def test_error_wraps(self, model):
         # psi = 179 deg, psi_d = -179 deg: error is -2 deg, never +358
         psi, psi_d = math.radians(179.0), math.radians(-179.0)
-        out = pd_rudder_command(psi, psi_d, 0.0, PDGains(Kp_c=3.5, Kd_c=4.0))
+        out = pd_rudder_command(psi, psi_d, 0.0, PDGains(Kp_c=3.5, Kd_c=4.0),
+                                model.limits)
         assert out == pytest.approx(-3.5 * math.radians(-2.0))
 
     def test_wrap_on_random_pairs(self):
@@ -143,10 +145,10 @@ class TestClosedLoop:
     def test_cross_track_regulation(self, model):
         # start 5L off a straight 60L segment: |y_e| < 0.5L within 40 t'
         # with no limit cycling afterwards
-        from asvsim.mmg import rudder_rate
+        from asvsim.mmg import rudder_rate, self_propulsion_rpm
 
         ilos, gains, limits = ILOSParams(), PDGains(), model.limits
-        n_prop = model.self_propulsion_rpm(1.0)
+        n_prop = self_propulsion_rpm(1.0, model.coeffs)
         deriv = model.make_derivative(n_prop)
         frame = segment_frame((0.0, 0.0), (60.0, 0.0))
         x, y, psi, u, v, r, delta = 0.0, 5.0, 0.0, 1.0, 0.0, 0.0, 0.0

@@ -152,7 +152,7 @@ class TestPropeller:
 
     @pytest.mark.parametrize("target", [1.0, 0.5])
     def test_forward_simulation_holds_speed(self, model, target):
-        n = model.self_propulsion_rpm(target)
+        n = self_propulsion_rpm(target, model.coeffs)
         rows = simulate_openloop(model, n, lambda t: 0.0, 200.0, u0=target)
         assert abs(rows[-1][4] - target) < 0.01
 
@@ -197,7 +197,7 @@ class TestTotalForcesAndDerivative:
             assert full == pytest.approx(parts, rel=1e-12, abs=1e-14)
 
     def test_steady_straight_run(self, model):
-        d = model.make_derivative(model.self_propulsion_rpm(1.0))(
+        d = model.make_derivative(self_propulsion_rpm(1.0, model.coeffs))(
             0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
         assert d[0] == pytest.approx(1.0)           # x_dot = u
         assert abs(d[1]) < 1e-12 and abs(d[2]) < 1e-12
@@ -264,7 +264,7 @@ class TestRudderRate:
 
 class TestVesselBehavior:
     def test_mirror_symmetry(self, model):
-        n = model.self_propulsion_rpm(1.0)
+        n = self_propulsion_rpm(1.0, model.coeffs)
         port = simulate_openloop(model, n, lambda t: -math.radians(20.0), 100.0)
         stbd = simulate_openloop(model, n, lambda t: math.radians(20.0), 100.0)
         for (_, x1, y1, p1, u1, v1, r1), (_, x2, y2, p2, u2, v2, r2) in zip(stbd, port):
@@ -276,7 +276,7 @@ class TestVesselBehavior:
             assert abs(r1 + r2) < 1e-9
 
     def test_turning_circle(self, model):
-        n = model.self_propulsion_rpm(1.0)
+        n = self_propulsion_rpm(1.0, model.coeffs)
         rows = simulate_openloop(model, n, lambda t: DELTA_35, 400.0)
         unwrapped = 0.0
         prev = 0.0
@@ -318,4 +318,4 @@ class TestCoefficientFile:
         doc["propeller"]["k_2"] = 0.0
         bad = ShipModel(doc)
         with pytest.raises(CoefficientError):
-            bad.self_propulsion_rpm(1.0)
+            self_propulsion_rpm(1.0, bad.coeffs)

@@ -1,19 +1,21 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from asvsim import scenarios
-from asvsim.apf import HarmonicParams
 from asvsim.cli import main
 from asvsim.engine import AgentSpec, Scenario, SimConfig, run
-from asvsim.plots import pairwise_distances, plot_field, sample_field
+from asvsim.plots import FIELD_OBSTACLE, pairwise_distances, plot_field, sample_field
 from asvsim.serialize import (
     CSV_COLUMNS,
+    DEGREES,
     PARAMETERS,
+    POSITIVE,
     ScenarioError,
     batch_summary_dict,
     dumps_canonical,
@@ -75,6 +77,12 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="weather"):
             parse_scenario(doc)
 
+    def test_seed_is_not_a_parameter(self):
+        # the engine is deterministic; a Monte Carlo batch takes its seed
+        # from the command line, never from a scenario file
+        with pytest.raises(ScenarioError, match=r"^sim: unknown field\(s\) \['seed'\]"):
+            parse_scenario(dict(MINIMAL, sim={"seed": 1}))
+
     def test_negative_r_safe_names_field(self):
         doc = dict(MINIMAL, sim={"r_safe": -1.0})
         with pytest.raises(ScenarioError, match="sim.r_safe"):
@@ -128,6 +136,11 @@ class TestScenarioParsing:
 
 SCHEMA_PROPERTIES = schema("scenario.schema.json")["properties"]
 PARAMETER_BLOCKS = sorted({block for block, _, _ in PARAMETERS.values()})
+#: "block.key" -> (Scenario attribute, dataclass field) of every key the
+#: parser requires to be > 0
+POSITIVE_KEYS = {f"{block}.{key}": (attr, name)
+                 for attr, (block, _, keys) in PARAMETERS.items()
+                 for key, (name, kind) in keys.items() if kind in (POSITIVE, DEGREES)}
 
 
 class TestSchemaParity:
@@ -154,13 +167,14 @@ class TestSchemaParity:
         with pytest.raises(ScenarioError, match=f"^{re.escape(path)}: "):
             parse_scenario(doc)
 
-    @pytest.mark.parametrize("field", ["R_tol_vortex", "in_extremis_range"])
+    @pytest.mark.parametrize("path", list(POSITIVE_KEYS))
     @pytest.mark.parametrize("value", [0.0, -1.0])
-    def test_harmonic_params_reject_what_the_parser_rejects(self, field, value):
-        # a programmatic scenario gets the same check as apf.r_tol_vortex
-        # and apf.in_extremis_range in a file
-        with pytest.raises(ValueError, match=field):
-            HarmonicParams(**{field: value})
+    def test_params_reject_what_the_parser_rejects(self, path, value):
+        # a programmatic scenario gets the same check as the key in a file
+        attr, name = POSITIVE_KEYS[path]
+        params = getattr(scenarios.narrow_channel(), attr)
+        with pytest.raises(ValueError):
+            replace(params, **{name: value})
 
 
 class TestTrajectoryCSV:
@@ -249,6 +263,13 @@ class TestCLI:
                      "--out", str(tmp_path)])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_simulate_has_no_seed_option(self, scenario_file, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--scenario", scenario_file, "--seed", "1",
+                  "--out", str(tmp_path)])
+        assert exc.value.code != 0
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("dt", ["-1", "0"])
     def test_simulate_rejects_nonpositive_dt(self, scenario_file, tmp_path, capsys, dt):
@@ -399,11 +420,16 @@ class TestPlots:
                      "--out", str(tmp_path / "field.svg")]) == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_field_plot_creates_output_directory(self, tmp_path):
+        out = tmp_path / "new" / "x.svg"
+        assert main(["plot", "--field", "mvortex", "--out", str(out)]) == 0
+        assert out.read_text().count("field-arrow") > 100
+
     def test_field_plot_starboard_arrows_avoid_obstacle(self, tmp_path):
         # probe on the starboard-approach side of the obstacle: the field
         # must not point into the obstacle disc
-        arrows = sample_field("mvortex", goal=(10.0, 0.0), obstacle=(-10.0, 0.0))
-        obstacle = (-10.0, 0.0)
+        arrows = sample_field("mvortex")
+        obstacle = FIELD_OBSTACLE
         for x, y, ux, uy in arrows:
             dx, dy = obstacle[0] - x, obstacle[1] - y
             dist = math.hypot(dx, dy)
