@@ -48,6 +48,8 @@ class OwnShip(NamedTuple):
 
 @dataclass(frozen=True)
 class StaticObstacle:
+    """A fixed disc obstacle: its centre and radius; rejects a radius <= 0."""
+
     center: Vec2
     R_obs: float = 0.5
 
@@ -82,6 +84,8 @@ class ObstacleView:
 
 @dataclass(frozen=True)
 class InverseSquareParams:
+    """Gains and influence distance of the inverse-square field; rejects any value <= 0."""
+
     k_att: float = 50.0
     k_rep: float = 200000.0
     d0: float = 15.0
@@ -93,6 +97,9 @@ class InverseSquareParams:
 
 @dataclass(frozen=True)
 class HarmonicParams:
+    """Sink and vortex strengths and ranges of the harmonic fields; rejects a
+    sink strength >= 0 and a vortex tolerance or in-extremis range <= 0."""
+
     Lambda_sink: float = -100.0
     K_vor0: float = -10.0
     R_tol_vortex: float = 3.0

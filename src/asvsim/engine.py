@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import apf, vo
 from .apf import ChannelBoundary, HarmonicParams, InverseSquareParams, ObstacleView, StaticObstacle
@@ -144,8 +144,9 @@ class Scenario:
         return replace(self, agents=agents)
 
 
-@dataclass
-class AgentResult:
+class AgentResult(NamedTuple):
+    """Outcome and metrics of one vessel at the end of a run."""
+
     agent_id: int
     outcome: str
     ce: float
@@ -156,8 +157,9 @@ class AgentResult:
     waypoints_reached: int
 
 
-@dataclass
-class SimResult:
+class SimResult(NamedTuple):
+    """End state of a run: its reason, the per-vessel results and guidance timing."""
+
     t_end: float
     end_reason: str
     collision_pair: Optional[Tuple[str, str]]

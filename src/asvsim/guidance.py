@@ -39,6 +39,8 @@ class ILOSParams:
 
 @dataclass(frozen=True)
 class PDGains:
+    """Proportional and derivative gains of the heading controller; rejects a gain <= 0."""
+
     Kp_c: float = 3.5
     Kd_c: float = 4.0
 

@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 DELTA_MAX = math.radians(35.0)
 
@@ -29,9 +29,12 @@ class CoefficientError(ValueError):
     """Raised for malformed or physically inconsistent coefficient tables."""
 
 
-@dataclass(frozen=True)
-class ShipParams:
-    """Principal particulars of the vessel (dimensional)."""
+class ShipParams(NamedTuple):
+    """Principal particulars of the vessel (dimensional).
+
+    Built by ``_coeffs_from_dict``, which rejects a non-positive L, B,
+    d_em, U_des or rho_w.
+    """
 
     L: float
     B: float
@@ -40,11 +43,6 @@ class ShipParams:
     rho_w: float
     displacement: float
     x_G_nd: float
-
-    def __post_init__(self):
-        for name in ("L", "B", "d_em", "U_des", "rho_w"):
-            if getattr(self, name) <= 0.0:
-                raise CoefficientError(f"ship parameter {name} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -68,12 +66,13 @@ class MassParams:
         return (self.m + self.m_y) * (self.I_zz + self.J_zz) - (self.m * self.x_G) ** 2
 
 
-@dataclass(frozen=True)
-class HydroCoeffs:
+class HydroCoeffs(NamedTuple):
     """Flat, named coefficient table for hull, propeller and rudder forces.
 
     Self-contained: also carries the geometry and normalization context
     (L, d_em, U_des, rho_w, D_p, A_R) needed to evaluate the forces.
+    Built by ``_coeffs_from_dict``, which rejects a non-finite float and an
+    empty ``schema_version``.
     """
 
     schema_version: str
@@ -119,16 +118,6 @@ class HydroCoeffs:
     a_H: float
     x_H_nd: float
     x_R_nd: float
-
-    def __post_init__(self):
-        import dataclasses
-
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, float) and not math.isfinite(v):
-                raise CoefficientError(f"coefficient {f.name} is not finite")
-        if not self.schema_version:
-            raise CoefficientError("coefficient table missing schema_version")
 
 
 @dataclass(frozen=True)
@@ -213,8 +202,13 @@ def self_propulsion_rpm(target_u: float, c: HydroCoeffs) -> float:
 
 
 def _coeffs_from_dict(doc: dict) -> Tuple[ShipParams, MassParams, HydroCoeffs]:
+    """The one constructor of ``ShipParams`` and ``HydroCoeffs``, and the
+    place their file checks live."""
     try:
         ship = ShipParams(**doc["ship"])
+        for name in ("L", "B", "d_em", "U_des", "rho_w"):
+            if getattr(ship, name) <= 0.0:
+                raise CoefficientError(f"ship parameter {name} must be > 0")
         mass = MassParams(x_G=doc["ship"]["x_G_nd"], **doc["mass"])
         coeffs = HydroCoeffs(
             schema_version=doc["schema_version"],
@@ -228,6 +222,11 @@ def _coeffs_from_dict(doc: dict) -> Tuple[ShipParams, MassParams, HydroCoeffs]:
         )
     except (KeyError, TypeError) as exc:
         raise CoefficientError(f"malformed coefficient file: {exc}") from exc
+    for name, v in zip(HydroCoeffs._fields, coeffs):
+        if isinstance(v, float) and not math.isfinite(v):
+            raise CoefficientError(f"coefficient {name} is not finite")
+    if not coeffs.schema_version:
+        raise CoefficientError("coefficient table missing schema_version")
     return ship, mass, coeffs
 
 

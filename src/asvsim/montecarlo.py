@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-import statistics
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .apf import FieldSingularity, StaticObstacle
 from .engine import METHODS, AgentSpec, Scenario, SimConfig, SimulationError, run
@@ -52,6 +51,8 @@ class SamplingError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnvSpec:
+    """Static and dynamic obstacle counts of one environment; rejects a negative count."""
+
     n_static: int
     n_dynamic: int
 
@@ -69,6 +70,9 @@ class EnvSpec:
 
 @dataclass(frozen=True)
 class BatchSpec:
+    """One seeded batch of an environment and method; rejects fewer than 2
+    runs, a negative seed and an unknown method."""
+
     env: EnvSpec
     method: str
     n_runs: int
@@ -85,8 +89,9 @@ class BatchSpec:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-@dataclass
-class AggregateStats:
+class AggregateStats(NamedTuple):
+    """Own-ship statistics of one batch, with 95% confidence half-widths."""
+
     n_runs: int
     n_errors: int
     success_rate: float
@@ -344,6 +349,8 @@ def run_batch(spec: BatchSpec) -> List[dict]:
 
 
 def _mean_ci(values: Sequence[float]) -> Tuple[float, float]:
+    import statistics  # with fractions and decimal; only aggregation needs it
+
     mean = statistics.fmean(values)
     if len(values) < 2:
         return mean, 0.0
@@ -353,6 +360,8 @@ def _mean_ci(values: Sequence[float]) -> Tuple[float, float]:
 
 def aggregate(records: Sequence[dict]) -> AggregateStats:
     """Own-ship statistics with normal-approximation 95% CIs."""
+    import statistics
+
     if len(records) < 2:
         raise ValueError("need at least 2 run records to aggregate")
     n = len(records)

@@ -27,6 +27,8 @@ MARGIN = 50
 N_TICKS = 6
 #: share of the data span left blank on each side of a plot
 PAD_FRAC = 0.08
+#: stroke of the field-plot arrows
+ARROW_COLOR = "#444"
 
 
 class SvgCanvas:
@@ -70,21 +72,21 @@ class SvgCanvas:
             f'<circle cx="{self.tx(x):.2f}" cy="{self.ty(y):.2f}" '
             f'r="{abs(r_world * self.sx):.2f}" stroke="{color}" fill="{fill}"{d}{c}/>')
 
-    def dot(self, x, y, r_px=3.0, color="#000", cls=""):
+    def dot(self, x, y, r_px, color="#000", cls=""):
         c = f' class="{cls}"' if cls else ""
         self.parts.append(
             f'<circle cx="{self.tx(x):.2f}" cy="{self.ty(y):.2f}" r="{r_px}" '
             f'fill="{color}"{c}/>')
 
-    def text(self, x, y, s, size=12, color="#000"):
+    def text(self, x, y, s, size, color="#000"):
         self.parts.append(
             f'<text x="{self.tx(x):.2f}" y="{self.ty(y):.2f}" '
             f'font-size="{size}" fill="{color}" font-family="sans-serif">{s}</text>')
 
-    def arrow(self, x, y, vx, vy, scale=1.0, color="#444", cls=""):
+    def arrow(self, x, y, vx, vy, scale=1.0, cls=""):
         """World-space arrow from (x, y) along (vx, vy) * scale."""
         x1, y1 = x + vx * scale, y + vy * scale
-        self.line(x, y, x1, y1, color=color, width=1.0, cls=cls)
+        self.line(x, y, x1, y1, color=ARROW_COLOR, width=1.0, cls=cls)
         ang = math.atan2(self.ty(y1) - self.ty(y), self.tx(x1) - self.tx(x))
         hx, hy = self.tx(x1), self.ty(y1)
         for side in (math.radians(150), -math.radians(150)):
@@ -92,7 +94,7 @@ class SvgCanvas:
                 f'<line x1="{hx:.2f}" y1="{hy:.2f}" '
                 f'x2="{hx + 5 * math.cos(ang + side):.2f}" '
                 f'y2="{hy + 5 * math.sin(ang + side):.2f}" '
-                f'stroke="{color}" stroke-width="1.0"/>')
+                f'stroke="{ARROW_COLOR}" stroke-width="1.0"/>')
 
     def axes(self, xlabel: str, ylabel: str):
         self.parts.append(

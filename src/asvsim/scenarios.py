@@ -11,7 +11,7 @@ import math
 from typing import Tuple
 
 from .apf import ChannelBoundary, StaticObstacle
-from .engine import AgentSpec, Scenario, SimConfig
+from .engine import AgentSpec, Scenario
 
 
 def square_tracking(side: float = 30.0, method: str = "apf_mvortex") -> Scenario:

@@ -10,7 +10,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -301,6 +300,8 @@ def write_trajectory_csv(result: SimResult, path: str) -> None:
 
 def read_trajectory_csv(path: str) -> Dict[int, List[tuple]]:
     """Rows per agent id, in time order."""
+    import csv  # only reading needs it; the writer formats rows itself
+
     out: Dict[int, List[tuple]] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

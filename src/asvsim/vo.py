@@ -19,6 +19,8 @@ from .frames import Vec2
 
 @dataclass(frozen=True)
 class VOParams:
+    """Cone radius and heading search of the velocity obstacle; rejects any value <= 0."""
+
     # cone disc calibrated so that mutual VO encounters pass at about six
     # ship lengths, matching the reference head-on/crossing behavior
     cone_radius: float = 6.0

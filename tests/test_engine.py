@@ -318,11 +318,13 @@ def test_simulation_path_imports_without_numpy():
         "assert 'numpy' not in sys.modules, 'numpy imported'")
 
 
-def test_serial_batch_runs_without_multiprocessing():
-    # only a parallel batch (jobs > 1) loads multiprocessing
+@pytest.mark.parametrize("module", ["multiprocessing", "statistics", "csv"])
+def test_serial_batch_does_not_load(module):
+    # only a parallel batch (jobs > 1) loads multiprocessing, only aggregation
+    # loads statistics and only reading a trajectory file loads csv
     _run_in_fresh_interpreter(
-        "import sys, asvsim.montecarlo as mc; "
-        "assert 'multiprocessing' not in sys.modules, 'imported with montecarlo'; "
+        "import sys, asvsim.montecarlo as mc, asvsim.serialize, asvsim.cli; "
+        f"assert {module!r} not in sys.modules, 'imported with the package'; "
         "mc.run_batch(mc.BatchSpec(env=mc.EnvSpec.by_id(1), method='apf_mvortex', "
         "n_runs=2, master_seed=0)); "
-        "assert 'multiprocessing' not in sys.modules, 'imported by a serial batch'")
+        f"assert {module!r} not in sys.modules, 'imported by a serial batch'")

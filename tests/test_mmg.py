@@ -18,6 +18,8 @@ from asvsim.mmg import (
 )
 
 DELTA_35 = math.radians(35.0)
+#: marks a coefficient-file key that a test deletes
+_MISSING = object()
 
 
 def simulate_openloop(model, n_prop, delta_fn, t_end, dt=0.1, u0=1.0):
@@ -305,6 +307,26 @@ class TestCoefficientFile:
         doc = copy.deepcopy(model.doc)
         doc["mass"]["m_y"] = -1.0
         with pytest.raises(CoefficientError):
+            ShipModel(doc)
+
+    @pytest.mark.parametrize("block, key, value, message", [
+        ("ship", "L", 0.0, "ship parameter L must be > 0"),
+        ("ship", "rho_w", -1.0, "ship parameter rho_w must be > 0"),
+        ("hull", "R_0", math.inf, "coefficient R_0 is not finite"),
+        ("rudder", "eta", math.nan, "coefficient eta is not finite"),
+        (None, "schema_version", "", "coefficient table missing schema_version"),
+        ("hull", "X_uu", 0.0, "malformed coefficient file"),
+        ("propeller", "k_2", _MISSING, "malformed coefficient file"),
+    ], ids=["ship.L=0", "ship.rho_w=-1", "hull.R_0=inf", "rudder.eta=nan",
+            "schema_version=empty", "hull.unknown_key", "propeller.missing_key"])
+    def test_bad_file_rejected(self, model, block, key, value, message):
+        doc = copy.deepcopy(model.doc)
+        table = doc if block is None else doc[block]
+        if value is _MISSING:
+            del table[key]
+        else:
+            table[key] = value
+        with pytest.raises(CoefficientError, match=message):
             ShipModel(doc)
 
     def test_singular_sway_yaw_matrix_rejected(self):
