@@ -22,9 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .frames import Vec2, wrap_angle
-
-TWO_PI = 2.0 * math.pi
+from .frames import TWO_PI, Vec2, wrap_angle
 
 # Gradient/velocity magnitudes below this are treated as stagnation.
 STAGNATION_EPS = 1e-9

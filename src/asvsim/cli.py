@@ -13,19 +13,12 @@ from pathlib import Path
 
 from . import montecarlo, plots, serialize
 from .engine import SimConfig, run
-from .mmg import ShipModel
 from .serialize import ScenarioError, dumps_canonical, resolve_method
-
-
-def _load_model(ship_file):
-    if ship_file:
-        return ShipModel.from_file(ship_file)
-    return ShipModel.default_kcs()
 
 
 def cmd_simulate(args) -> int:
     try:
-        scenario, ship_file = serialize.load_scenario(args.scenario)
+        scenario = serialize.load_scenario(args.scenario)
         if args.method:
             scenario = scenario.with_method(resolve_method(args.method))
         if args.dt is not None:
@@ -34,8 +27,7 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        model = _load_model(ship_file)
-        result = run(scenario, model=model, record=True)
+        result = run(scenario, record=True)
     except Exception as exc:  # noqa: BLE001 - surface any run failure as exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -49,10 +41,9 @@ def cmd_simulate(args) -> int:
         ttg = f"{a.time_to_goal:.1f}" if a.time_to_goal is not None else "-"
         print(f"agent {a.agent_id}: {a.outcome} CE={a.ce:.4f} MCTE={a.mcte:.4f} "
               f"time_to_goal={ttg} min_ship_dist={a.min_ship_distance:.2f}")
-    outcomes = [a.outcome for a in result.agents]
-    if "collision" in outcomes:
+    if "collision" in result.outcomes:
         return 2
-    if "timeout" in outcomes:
+    if "timeout" in result.outcomes:
         return 3
     return 0
 
@@ -133,7 +124,7 @@ def cmd_plot(args) -> int:
         rows = serialize.read_trajectory_csv(args.traj)
         scenario = None
         if args.scenario:
-            scenario, _ = serialize.load_scenario(args.scenario)
+            scenario = serialize.load_scenario(args.scenario)
         if args.kind == "path":
             plots.plot_paths(rows, scenario, args.out)
         elif args.kind in ("rudder", "heading", "crosstrack"):

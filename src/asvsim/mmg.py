@@ -243,11 +243,6 @@ class ShipModel:
             delta_rate_max=math.radians(5.0) * self.ship.L / self.ship.U_des)
 
     @classmethod
-    def from_file(cls, path: str) -> "ShipModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh))
-
-    @classmethod
     def default_kcs(cls) -> "ShipModel":
         text = resources.files("asvsim.data").joinpath("kcs_coeffs.json").read_text()
         return cls(json.loads(text))

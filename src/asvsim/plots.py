@@ -16,7 +16,7 @@ from .apf import (
     desired_heading_harmonic,
     desired_heading_inverse_square,
 )
-from .engine import Scenario, SimConfig
+from .engine import Scenario
 from .frames import Vec2
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
@@ -144,9 +144,7 @@ def plot_paths(rows_by_agent: Dict[int, List[tuple]], scenario: Optional[Scenari
     for rows in rows_by_agent.values():
         xs.extend(r[1] for r in rows)
         ys.extend(r[2] for r in rows)
-    r_tol = 3.0
     if scenario is not None:
-        r_tol = scenario.ilos.R_tol
         for a in scenario.agents:
             xs.extend(w[0] for w in a.waypoints)
             ys.extend(w[1] for w in a.waypoints)
@@ -163,12 +161,13 @@ def plot_paths(rows_by_agent: Dict[int, List[tuple]], scenario: Optional[Scenari
         for o in scenario.static_obstacles:
             canvas.circle(o.center[0], o.center[1], o.R_obs, color="#d62728",
                           fill="#d62728", cls="obstacle")
-            canvas.circle(o.center[0], o.center[1], 2.0 + o.R_obs, color="#d62728",
+            canvas.circle(o.center[0], o.center[1],
+                          scenario.config.collision_threshold + o.R_obs, color="#d62728",
                           dash="4,4", cls="obstacle-threshold")
         for a in scenario.agents:
             for w in a.waypoints:
                 canvas.dot(w[0], w[1], r_px=4, color="#000", cls="waypoint")
-                canvas.circle(w[0], w[1], r_tol, color="#888", dash="3,5",
+                canvas.circle(w[0], w[1], scenario.ilos.R_tol, color="#888", dash="3,5",
                               cls="waypoint-tolerance")
     for i, (aid, rows) in enumerate(sorted(rows_by_agent.items())):
         color = PALETTE[i % len(PALETTE)]
@@ -219,8 +218,7 @@ def plot_series(rows_by_agent: Dict[int, List[tuple]], kind: str, path: str) -> 
     return _series_canvas(ts, series, ylabel, path, labels)
 
 
-def pairwise_distances(rows_by_agent: Dict[int, List[tuple]],
-                       r_safe: float = SimConfig.R_safe):
+def pairwise_distances(rows_by_agent: Dict[int, List[tuple]], r_safe: float):
     """Per-pair (t, distance) series, masked to separations within r_safe."""
     ids = sorted(rows_by_agent)
     out: Dict[str, List[Tuple[float, float]]] = {}
@@ -237,7 +235,7 @@ def pairwise_distances(rows_by_agent: Dict[int, List[tuple]],
 
 
 def plot_distances(rows_by_agent: Dict[int, List[tuple]], path: str,
-                   r_safe: float = SimConfig.R_safe) -> SvgCanvas:
+                   r_safe: float) -> SvgCanvas:
     pairs = pairwise_distances(rows_by_agent, r_safe)
     if not pairs:
         raise ValueError("no agent pair came within the detection radius")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .apf import ChannelBoundary, HarmonicParams, InverseSquareParams, StaticObstacle
 from .engine import METHODS, AgentSpec, Scenario, SimConfig, SimResult
@@ -169,8 +169,8 @@ def parse_scenario(doc: dict) -> Scenario:
     document leaves out take their dataclass defaults."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario root must be a JSON object")
-    _check_keys(doc, {"schema_version", "name", "ship_file", "agents", "static_obstacles",
-                      *_BLOCK_KEYS}, "scenario")
+    _check_keys(doc, {"schema_version", "name", "agents", "static_obstacles", *_BLOCK_KEYS},
+                "scenario")
     version = doc.get("schema_version", SCENARIO_SCHEMA_VERSION)
     if version != SCENARIO_SCHEMA_VERSION:
         _fail("scenario.schema_version", f"unsupported version {version!r}")
@@ -216,28 +216,25 @@ def parse_scenario(doc: dict) -> Scenario:
     name = doc.get("name", "")
     if not isinstance(name, str):
         _fail("scenario.name", "must be a string")
-    ship_file = doc.get("ship_file")
-    if ship_file is not None and not isinstance(ship_file, str):
-        _fail("scenario.ship_file", "must be a string path")
 
     try:
         return Scenario(agents=agents, static_obstacles=statics, channel=channel,
                         name=name, **params)
-    except ValueError as exc:
-        raise ScenarioError(str(exc))
+    except ValueError as exc:  # duplicate agent ids
+        _fail("scenario.agents", str(exc))
 
 
-def load_scenario(path: str) -> Tuple[Scenario, Optional[str]]:
-    """Read and validate a scenario file; returns (scenario, ship_file)."""
+def load_scenario(path: str) -> Scenario:
+    """Read and validate a scenario file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"not valid JSON: {exc}") from exc
-    return parse_scenario(doc), doc.get("ship_file")
+    return parse_scenario(doc)
 
 
-def scenario_to_dict(sc: Scenario, ship_file: Optional[str] = None) -> dict:
+def scenario_to_dict(sc: Scenario) -> dict:
     doc = {
         "schema_version": SCENARIO_SCHEMA_VERSION,
         "name": sc.name,
@@ -262,8 +259,6 @@ def scenario_to_dict(sc: Scenario, ship_file: Optional[str] = None) -> dict:
     if sc.channel is not None:
         doc["channel"]["boundary_a"] = [list(p) for p in sc.channel.boundary_a]
         doc["channel"]["boundary_b"] = [list(p) for p in sc.channel.boundary_b]
-    if ship_file is not None:
-        doc["ship_file"] = ship_file
     return doc
 
 

@@ -14,6 +14,7 @@ from asvsim.apf import (
     InverseSquareParams,
     ObstacleView,
     OwnShip,
+    StaticObstacle,
     bearing_gamma,
     boundary_source_velocity,
     classify_encounter,
@@ -63,6 +64,15 @@ def fd_gradient(pos, goal, obstacles, p, h=1e-5):
     gy = (potential((pos[0], pos[1] + h), goal, obstacles, p)
           - potential((pos[0], pos[1] - h), goal, obstacles, p)) / (2 * h)
     return (-gx, -gy)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StaticObstacle(center=(0.0, 0.0), R_obs=0.0),
+    lambda: HarmonicParams(Lambda_sink=0.0),
+], ids=["static_radius_zero", "sink_strength_zero"])
+def test_invalid_parameters_rejected(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestInverseSquareGradient:
@@ -373,6 +383,20 @@ class TestDesiredHeadings:
         with_obs = desired_heading_harmonic(own, (25.0, 0.0), [obs], None, p, R_SAFE)
         sink_only = desired_heading_harmonic(own, (25.0, 0.0), [], None, p, R_SAFE)
         assert with_obs == sink_only
+
+    @pytest.mark.parametrize("prev_psi_d, expected", [(0.7, 0.7), (None, 0.3)])
+    def test_harmonic_stagnation_holds_previous_heading(self, prev_psi_d, expected):
+        # at the origin the sink toward (10, 0) and the vortex of an obstacle
+        # at (0, 1) cancel exactly: the paper's stagnation point
+        own, goal = own_state(psi=0.3), (10.0, 0.0)
+        obs = static_view((0.0, 1.0))
+        p = HarmonicParams()
+        sx, sy = sink_velocity((own.x, own.y), goal, p.Lambda_sink)
+        wx, wy = vortex_velocity((own.x, own.y), obs.position, p.K_vor0)
+        assert (sx + wx, sy + wy) == (0.0, 0.0)
+        out = desired_heading_harmonic(own, goal, [obs], None, p, R_SAFE, modified=False,
+                                       prev_psi_d=prev_psi_d)
+        assert out == expected
 
     def test_inverse_square_points_at_goal_when_clear(self):
         psi_d = desired_heading_inverse_square(own_state(), (0.0, 30.0), [],

@@ -22,6 +22,7 @@ from asvsim.engine import (
     MODE_REACTIVE,
     Scenario,
     SimConfig,
+    SimulationError,
     World,
     run,
 )
@@ -108,6 +109,23 @@ class TestStep:
             assert wrap_angle(rb[3] - ra[3] - math.pi) == pytest.approx(0.0, abs=1e-9)
             assert rb[4] == pytest.approx(ra[4], abs=1e-9)          # u
             assert rb[7] == pytest.approx(ra[7], abs=1e-9)          # delta
+
+
+class TestLargeStep:
+    @pytest.mark.parametrize("scene, side", [("head_on", 1.0), ("narrow_channel", -1.0)])
+    def test_rudder_clamped_before_runaway(self, model, scene, side):
+        # above T_delta the first-order rudder lag overshoots its command,
+        # so only the clamp after the rate step holds delta_max; the
+        # integration then runs away within a few dozen steps
+        sc = getattr(scenarios, scene)()
+        world = World(replace(sc, config=SimConfig(dt=1.5)), model=model)
+        with pytest.raises(SimulationError, match="surge runaway"):
+            while world.step():
+                pass
+        deltas = [row[7] for ag in world.agents for row in ag.rows]
+        deltas += [ag.delta for ag in world.agents]
+        assert side * model.limits.delta_max in deltas
+        assert max(abs(d) for d in deltas) == model.limits.delta_max
 
 
 class TestDeterminismAndInvariance:
@@ -258,6 +276,14 @@ class TestOutcomes:
         assert res.end_reason == "timeout"
         assert res.outcomes == ["timeout"]
 
+    def test_step_after_end_is_a_no_op(self, model):
+        world = World(scenarios.head_on(), model=model, record=False)
+        while world.step():
+            pass
+        t, n = world.t, world.step_index
+        assert world.step() is False
+        assert (world.t, world.step_index, world.end_reason) == (t, n, "all_done")
+
     def test_own_termination_ignores_third_party_collision(self, model):
         # agents 1 and 2 collide head-on with the weak method while the own
         # ship sails clear far away; under "own" termination the run carries
@@ -297,6 +323,15 @@ class TestScenarioValidation:
     def test_speed_validated(self):
         with pytest.raises(ValueError):
             AgentSpec(id=0, start=(0, 0), heading=0.0, speed=0.0, waypoints=((10, 0),))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SimConfig(termination="x"), "termination must be 'all' or 'own'"),
+        (lambda: AgentSpec(id=0, start=(0, 0), heading=0.0, speed=1.0, waypoints=()),
+         "agent needs at least one waypoint"),
+    ], ids=["termination", "no_waypoints"])
+    def test_invalid_spec_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_with_method_override(self):
         sc = scenarios.head_on("apf_mvortex").with_method("velocity_obstacle")

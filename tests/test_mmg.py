@@ -158,6 +158,11 @@ class TestPropeller:
         rows = simulate_openloop(model, n, lambda t: 0.0, 200.0, u0=target)
         assert abs(rows[-1][4] - target) < 0.01
 
+    @pytest.mark.parametrize("target_u", [0.0, 1.3])
+    def test_self_propulsion_speed_range(self, model, target_u):
+        with pytest.raises(ValueError, match=r"target_u must be in \(0, 1.2\]"):
+            self_propulsion_rpm(target_u, model.coeffs)
+
     def test_negative_revolutions_rejected(self, model):
         with pytest.raises(ValueError):
             propeller_force(1.0, -1.0, model.coeffs)
@@ -221,6 +226,25 @@ class TestTotalForcesAndDerivative:
         d = zero.make_derivative(1.7)(0.0, 0.0, 0.0, u, v, r, 0.0)
         assert d[3] == pytest.approx((m * v * r + m * x_G * r ** 2) / (m + m_x), rel=1e-12)
 
+    def test_at_rest_no_hull_force(self, model):
+        # below the speed floor the hull polynomial is skipped and the
+        # rudder sees no inflow: only the inertial coupling b r^2 is left
+        m = model.mass
+        n = self_propulsion_rpm(1.0, model.coeffs)
+        out = model.make_derivative(n)(0.0, 0.0, 0.0, 0.0, 0.0, 0.05, 0.1)
+        assert out == (0.0, 0.0, 0.05, m.m * m.x_G * 0.05 * 0.05 / (m.m + m.m_x), 0.0, 0.0)
+
+    @pytest.mark.parametrize("u", [1e-12, 1e-200])
+    def test_creeping_speed_finite(self, model, u):
+        # the advance ratio sits on its 1e-9 floor (without it, J * J
+        # underflows to zero at 1e-200): the propeller gives about bollard
+        # thrust and the output stays finite
+        n = self_propulsion_rpm(1.0, model.coeffs)
+        out = model.make_derivative(n)(0.0, 0.0, 0.0, u, 0.0, 0.0, 0.1)
+        assert all(math.isfinite(x) for x in out)
+        bollard = propeller_force(0.0, n, model.coeffs) / (model.mass.m + model.mass.m_x)
+        assert out[3] == pytest.approx(bollard, rel=1e-3)
+
     def test_sway_yaw_solve_matches_matrix_inverse(self, model):
         rng = np.random.default_rng(3)
         d = model.make_derivative(1.7)
@@ -256,6 +280,10 @@ class TestRudderRate:
     def test_linear_branch(self, model):
         out = rudder_rate(0.0, 0.1, model.limits)
         assert out == pytest.approx(0.1 / model.limits.T_delta, rel=1e-15)
+
+    def test_nonpositive_rate_rejected(self):
+        with pytest.raises(CoefficientError, match="actuator limits must be > 0"):
+            ActuatorLimits(delta_rate_max=0.0)
 
     def test_default_limits(self, model):
         assert model.limits.delta_max == pytest.approx(math.radians(35.0))
@@ -332,6 +360,14 @@ class TestCoefficientFile:
     def test_singular_sway_yaw_matrix_rejected(self):
         with pytest.raises(CoefficientError):
             MassParams(m=1.0, m_x=0.1, m_y=0.1, I_zz=0.001, J_zz=0.001, x_G=10.0)
+
+    def test_negative_resistance_reported(self, model):
+        # the table constructs, but thrust beats resistance at any RPM
+        doc = copy.deepcopy(model.doc)
+        doc["hull"]["R_0"] = -0.01
+        bad = ShipModel(doc)
+        with pytest.raises(CoefficientError, match="thrust exceeds resistance"):
+            self_propulsion_rpm(1.0, bad.coeffs)
 
     def test_self_propulsion_bracket_failure_reported(self, model):
         doc = copy.deepcopy(model.doc)

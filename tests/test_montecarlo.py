@@ -10,6 +10,7 @@ from asvsim.montecarlo import (
     AggregateStats,
     BatchSpec,
     EnvSpec,
+    SamplingError,
     aggregate,
     child_rng,
     compare_methods,
@@ -27,6 +28,15 @@ class TestEnvironments:
     def test_unknown_env_rejected(self):
         with pytest.raises(ValueError):
             EnvSpec.by_id(6)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: EnvSpec(-1, 0), "invalid environment spec"),
+        (lambda: BatchSpec(env=EnvSpec(1, 2), method="warp", n_runs=2, master_seed=0),
+         "unknown method 'warp'"),
+    ], ids=["negative_count", "unknown_method"])
+    def test_invalid_spec_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestSampling:
@@ -67,6 +77,14 @@ class TestSampling:
         s2 = sample_scenario(EnvSpec.by_id(2), child_rng(42, 5))
         assert scenario_hash(s1) == scenario_hash(s2)
         assert s1.agents == s2.agents
+
+    @pytest.mark.parametrize("env, what", [
+        (EnvSpec(100, 0), "an entity"),  # no room for the statics
+        (EnvSpec(68, 2), "a goal"),  # no goal clear of the statics
+    ], ids=["entity", "goal"])
+    def test_crowded_arena_exhausts_budget(self, env, what):
+        with pytest.raises(SamplingError, match=f"exhausted while placing {what}$"):
+            sample_scenario(env, child_rng(0, 0))
 
 
 def _draws(rng, n):
@@ -199,6 +217,15 @@ class TestAggregation:
         assert a1.success_rate == a2.success_rate
         assert a1.mean_ce == pytest.approx(a2.mean_ce)
         assert a1.ce_ci == pytest.approx(a2.ce_ci)
+
+    def test_one_success_has_zero_ttg_ci(self):
+        agg = aggregate(self._records(["success", "collision", "timeout"], ttg=42.0))
+        assert (agg.mean_time_to_goal, agg.ttg_ci) == (42.0, 0.0)
+
+    def test_no_success_has_no_ttg(self):
+        agg = aggregate(self._records(["collision", "timeout"]))
+        assert agg.success_rate == 0.0
+        assert (agg.mean_time_to_goal, agg.ttg_ci) == (None, None)
 
     def test_needs_two_records(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,15 @@ import pytest
 from asvsim import scenarios
 from asvsim.cli import main
 from asvsim.engine import AgentSpec, Scenario, SimConfig, run
-from asvsim.plots import FIELD_OBSTACLE, pairwise_distances, plot_field, sample_field
+from asvsim.plots import (
+    FIELD_GOAL,
+    FIELD_OBSTACLE,
+    FIELD_OBSTACLE_RADIUS,
+    pairwise_distances,
+    plot_field,
+    plot_series,
+    sample_field,
+)
 from asvsim.serialize import (
     CSV_COLUMNS,
     DEGREES,
@@ -52,6 +60,40 @@ BAD_WALLS = {
     "walls_on_one_line": ({"boundary_a": [[-10, 0], [20, 0]],
                            "boundary_b": [[30, 0], [60, 0]]},
                           "channel walls must not lie on one line"),
+}
+
+
+def _agent(**fields):
+    return [dict(MINIMAL["agents"][0], **fields)]
+
+
+#: documents that fail validation, with the start of their message: the
+#: path of the offending field
+BAD_DOCUMENTS = {
+    "root_not_object": ([], "scenario root must be a JSON object"),
+    "ship_file": (dict(MINIMAL, ship_file="kcs.json"),
+                  "scenario: unknown field(s) ['ship_file']"),
+    "schema_version": (dict(MINIMAL, schema_version="scenario-2"),
+                       "scenario.schema_version: unsupported version"),
+    "no_agents": ({"agents": []}, "scenario.agents: must be a non-empty list"),
+    "duplicate_ids": ({"agents": MINIMAL["agents"] * 2},
+                      "scenario.agents: agent ids must be unique"),
+    "name": (dict(MINIMAL, name=3), "scenario.name: must be a string"),
+    "agent_not_object": ({"agents": [3]}, "agents[0]: must be an object"),
+    "agent_id": ({"agents": _agent(id="a")}, "agents[0].id: must be an integer"),
+    "agent_start": ({"agents": _agent(start=[0.0])}, "agents[0].start: must be a [x, y] pair"),
+    "agent_method": ({"agents": _agent(method="warp")}, "agents[0].method: unknown method"),
+    "no_waypoints": ({"agents": _agent(waypoints=[])},
+                     "agents[0].waypoints: must be a non-empty list"),
+    "static_not_object": (dict(MINIMAL, static_obstacles=[3]),
+                          "static_obstacles[0]: must be an object"),
+    "block_not_object": (dict(MINIMAL, sim=[]), "sim: must be an object"),
+    "not_a_number": (dict(MINIMAL, sim={"dt": "fast"}), "sim.dt: must be a finite number"),
+    "termination": (dict(MINIMAL, sim={"termination": "x"}),
+                    "sim.termination: must be 'all' or 'own'"),
+    "channel_segment": (dict(MINIMAL, channel={"boundary_a": [[0, 5]],
+                                               "boundary_b": [[0, -5], [60, -5]]}),
+                        "channel.boundary_a: must be a [[x, y], [x, y]] segment"),
 }
 
 
@@ -107,6 +149,18 @@ class TestScenarioParsing:
         walls, message = BAD_WALLS[case]
         with pytest.raises(ScenarioError, match=f"^channel: {message}$"):
             parse_scenario(dict(MINIMAL, channel=walls))
+
+    @pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
+    def test_bad_document_names_its_path(self, case):
+        doc, message = BAD_DOCUMENTS[case]
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}"):
+            parse_scenario(doc)
+
+    def test_invalid_json_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{")
+        with pytest.raises(ScenarioError, match="^not valid JSON: "):
+            load_scenario(str(path))
 
     def test_bad_agent_speed_names_path(self):
         doc = {"agents": [{"id": 0, "start": [0, 0], "speed": 5.0,
@@ -196,6 +250,17 @@ class TestTrajectoryCSV:
         for rec, orig in zip(rows[0], res.trajectories[0]):
             assert rec == pytest.approx(orig)
 
+    def test_unrecorded_run_has_no_trajectory(self, tmp_path, model):
+        res = run(scenarios.head_on(), model=model, record=False)
+        with pytest.raises(ValueError, match="without trajectory recording"):
+            write_trajectory_csv(res, str(tmp_path / "t.csv"))
+
+    def test_wrong_header_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("t,agent\r\n0.0,0\r\n")
+        with pytest.raises(ValueError, match="unexpected CSV header"):
+            read_trajectory_csv(str(path))
+
     def test_one_row_per_agent_per_step(self, tmp_path, model):
         res = run(scenarios.head_on(), model=model, record=True)
         path = tmp_path / "t.csv"
@@ -278,6 +343,23 @@ class TestCLI:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "result.json").exists()
+
+    def test_simulate_reports_runaway(self, scenario_file, tmp_path, capsys):
+        # at dt = 1.0, the rudder time constant, the integration runs away
+        code = main(["simulate", "--scenario", scenario_file, "--dt", "1.0",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: surge runaway")
+        assert not (tmp_path / "result.json").exists()
+
+    def test_simulate_timeout_exit_code(self, tmp_path):
+        doc = scenario_to_dict(scenarios.head_on())
+        doc["sim"]["max_time"] = 5
+        scen = tmp_path / "short.json"
+        scen.write_text(dumps_canonical(doc))
+        assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path)]) == 3
+        result = json.loads((tmp_path / "result.json").read_text())
+        assert [a["outcome"] for a in result["agents"]] == ["timeout", "timeout"]
 
     def test_method_override(self, scenario_file, tmp_path):
         code = main(["simulate", "--scenario", scenario_file, "--method", "vo",
@@ -405,6 +487,38 @@ class TestPlots:
         assert main(["plot", "--traj", str(tmp_path / "trajectory.csv"),
                      "--kind", "distance", "--out", str(tmp_path / "d.svg")]) == 0
 
+    @pytest.mark.parametrize("scene, marks", [
+        ("static_avoidance", {"obstacle": 1, "obstacle-threshold": 1, "channel-wall": 0}),
+        ("narrow_channel", {"obstacle": 0, "obstacle-threshold": 0, "channel-wall": 2}),
+    ])
+    def test_path_plot_draws_obstacles_and_walls(self, tmp_path, scene, marks):
+        scen_path = tmp_path / "scenario.json"
+        scen_path.write_text(dumps_canonical(scenario_to_dict(getattr(scenarios, scene)())))
+        assert main(["simulate", "--scenario", str(scen_path), "--out", str(tmp_path)]) == 0
+        svg = tmp_path / "path.svg"
+        assert main(["plot", "--traj", str(tmp_path / "trajectory.csv"), "--kind", "path",
+                     "--scenario", str(scen_path), "--out", str(svg)]) == 0
+        text = svg.read_text()
+        assert {cls: text.count(f'class="{cls}"') for cls in marks} == marks
+
+    def test_distance_plot_without_close_pair_fails(self, square_outputs, capsys):
+        out, _ = square_outputs
+        code = main(["plot", "--traj", str(out / "trajectory.csv"),
+                     "--kind", "distance", "--out", str(out / "d.svg")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: no agent pair came within the detection radius\n")
+
+    def test_plot_needs_a_trajectory(self, tmp_path, capsys):
+        assert main(["plot", "--kind", "path", "--out", str(tmp_path / "p.svg")]) == 1
+        assert capsys.readouterr().err == "error: need --traj and --kind (or --field)\n"
+
+    def test_unknown_series_kind_fails(self, square_outputs):
+        out, _ = square_outputs
+        rows = read_trajectory_csv(str(out / "trajectory.csv"))
+        with pytest.raises(ValueError, match="unknown series kind 'pie'"):
+            plot_series(rows, "pie", str(out / "x.svg"))
+
     def test_unknown_kind_fails(self, square_outputs):
         out, _ = square_outputs
         code = main(["plot", "--traj", str(out / "trajectory.csv"),
@@ -419,6 +533,17 @@ class TestPlots:
         assert main(["plot", "--field", "vortex",
                      "--out", str(tmp_path / "field.svg")]) == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_inverse_field_points_at_goal_beyond_influence(self):
+        # outside the influence distance d0 only the goal attraction acts
+        clear = [(x, y, ux, uy) for x, y, ux, uy in sample_field("inverse")
+                 if math.hypot(x - FIELD_OBSTACLE[0], y - FIELD_OBSTACLE[1])
+                 - FIELD_OBSTACLE_RADIUS > 15.0]
+        assert len(clear) > 100
+        for x, y, ux, uy in clear:
+            dist = math.hypot(FIELD_GOAL[0] - x, FIELD_GOAL[1] - y)
+            assert (ux, uy) == pytest.approx(((FIELD_GOAL[0] - x) / dist,
+                                              (FIELD_GOAL[1] - y) / dist), abs=1e-12)
 
     def test_field_plot_creates_output_directory(self, tmp_path):
         out = tmp_path / "new" / "x.svg"
