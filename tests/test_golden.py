@@ -159,6 +159,44 @@ PATH_SVG_DIGESTS = {
     "three_ship": "d19dfe112f11e76ddff0d7e1d98b74e2347338e126187ae0d4f195c7793434a0",
 }
 
+#: sha256 of the time-series plots that `asvsim plot --kind K --scenario` draws
+#: of the scenes built for their default method
+SERIES_SVG_DIGESTS = {
+    "narrow_channel/crosstrack": "787bced1552baf5d2198fc3d649438c9e33d8cfb127b83793b606e30ea5643e4",
+    "narrow_channel/distance": "bb4b2ade1bea60e4b904801fb5afc9bd4a70055ae77358712170cf5ceeffc190",
+    "narrow_channel/heading": "d0a1437036db5f99b2671d3600a077b67c09c2029932de9d16b7b72e9299abc8",
+    "narrow_channel/rudder": "81c4c5756f9e71108867e472b8c08ac978d9d0452d584eee8896987696b0f929",
+    "three_ship/crosstrack": "75fe88060d358155552b2fbae2e84497ff8bc6b0ea7df86717d986ff9612d822",
+    "three_ship/distance": "7865a2ee3a0490553a544337d79385eb583f024e3d03f1d2db0aef464ba0a99d",
+    "three_ship/heading": "8e8a2432cd433092fef175d0af60253c294cbf66102af50da3d6737f9e3a42ea",
+    "three_ship/rudder": "98f216a060edef0d3b0d8bcb2c6c09b9a7f7840520f4d3c2ea839a779f47476b",
+}
+
+#: sha256 of the summary.json that `asvsim batch --runs 6 --seed 3 --jobs 1`
+#: writes for each environment and method
+SUMMARY_DIGESTS = {
+    "1/inverse": "cb3e9a81b6307dc3d8d3c6b31ce3e6eb43db1304741dcfcf6d1278d4cdcf2682",
+    "1/mvortex": "97d5074a88ab2be073a75951cdb7b25786f7970d65c8890255348e94097b5675",
+    "1/sinkvortex": "1159a21441a018747aa0be90c0e38c741af1109c8fff0cad5c4b56ef2bcef3e8",
+    "1/vo": "011579a5d0054325441e17c21bdd90ce1140090242172f605ac302e6b8070bb9",
+    "2/inverse": "6b1bfcbaf5eda313fa652b0d8da5c79c6e40d84b2b1a4978af135e8616de1891",
+    "2/mvortex": "f1f8637bcf87b0d2ed4e1872ba6e58cc0f7c7b7d5c3ef7fdde2915c9d6d81c2f",
+    "2/sinkvortex": "f1890cf394bed1aee2c4ac32e04c4c3fa5bd0b56c2fece900cf78bd3b6e13554",
+    "2/vo": "84ada3b87286f0a223b7381900473a53bcfad44b6a619f48ee3c1c1587ba19e0",
+    "3/inverse": "0c27980bb050fca48d817b673d319c6cfebc0134ff8ab129a0babaf5bab1328b",
+    "3/mvortex": "d022f486a610c64bea64ffddacb2394b2aa08154119fa17f8e0e39b75b476000",
+    "3/sinkvortex": "d0973e891339d8ebdf52998605ababf54bd77d58196d185a2b305da04789e741",
+    "3/vo": "3978e20e14758980bb66229cf8b9097105c6a0f5f6112cd4916a86b9526b2906",
+    "4/inverse": "4542c90311266ba19c7a0ec780026e464fd012f3064dfd3295c51d02f0da907a",
+    "4/mvortex": "7db767187c4b89fb802f809b411b0f34ec6e6a37071c775364b89644a29a1b77",
+    "4/sinkvortex": "a6dcee178e82a4b4f47dedda5600a7b52ccc1a8a541478c28b460a0ce9a1cb8c",
+    "4/vo": "e4482e82e8b32c61b7a11b543ee3d82d965adbc91ab742721cad7e6ff473d0f2",
+    "5/inverse": "496f315573022aac6d023df9d2985cc9768018915b7615340d96c71dde13b50d",
+    "5/mvortex": "ac2501f82b3a0d87c914f71c0c2d556cc208c095b0576bef4aea49875a3841ae",
+    "5/sinkvortex": "5f21c2469c1d5c4a6020af6b877f20a93b1b2d18e85851e9b0d9684924e3fcdc",
+    "5/vo": "8fc583a626b1a8d27b8bb67350e00c354ea6a6ac55b7dc718f7b3322abfa2af4",
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -219,3 +257,22 @@ def test_path_plot_digest(scene, tmp_path):
     assert main(["plot", "--traj", str(tmp_path / "trajectory.csv"), "--kind", "path",
                  "--scenario", str(scenario_path), "--out", str(svg)]) == 0
     assert sha256(svg.read_bytes()) == PATH_SVG_DIGESTS[scene]
+
+
+@pytest.mark.parametrize("case", sorted(SERIES_SVG_DIGESTS))
+def test_series_plot_digest(case, tmp_path):
+    scene, kind = case.split("/")
+    scenario_path = simulate(SCENE_BUILDERS[scene](), tmp_path)
+    svg = tmp_path / f"{kind}.svg"
+    assert main(["plot", "--traj", str(tmp_path / "trajectory.csv"), "--kind", kind,
+                 "--scenario", str(scenario_path), "--out", str(svg)]) == 0
+    assert sha256(svg.read_bytes()) == SERIES_SVG_DIGESTS[case]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", sorted(SUMMARY_DIGESTS))
+def test_batch_summary_digest(case, tmp_path):
+    env, method = case.split("/")
+    assert main(["batch", "--env", env, "--method", method, "--runs", "6", "--seed", "3",
+                 "--jobs", "1", "--out", str(tmp_path)]) == 0
+    assert sha256((tmp_path / "summary.json").read_bytes()) == SUMMARY_DIGESTS[case]
