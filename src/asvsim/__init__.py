@@ -7,23 +7,3 @@ harness (montecarlo), and file/plot/CLI surfaces (serialize, plots, cli).
 """
 
 __version__ = "0.1.0"
-
-from .frames import Vec2, wrap_angle
-from .mmg import (
-    ActuatorLimits,
-    HydroCoeffs,
-    MassParams,
-    ShipModel,
-    ShipParams,
-)
-
-__all__ = [
-    "ActuatorLimits",
-    "HydroCoeffs",
-    "MassParams",
-    "ShipModel",
-    "ShipParams",
-    "Vec2",
-    "wrap_angle",
-    "__version__",
-]

@@ -67,7 +67,7 @@ def cmd_batch(args) -> int:
     (out / "timing.json").write_text(
         dumps_canonical(serialize.batch_timing_dict(records, agg)), encoding="utf-8")
     print(f"env {args.env} method {args.method}: n={args.runs} "
-          f"success_rate={agg.success_rate:.4f} +/- {agg.success_ci:.4f} "
+          f"success_rate={agg.success_rate:.4f} +/- {agg.success_ci95:.4f} "
           f"mean_ce={agg.mean_ce:.4f} mean_mcte={agg.mean_mcte:.4f}")
     return 0
 

@@ -37,7 +37,6 @@ from .frames import Vec2, wrap_angle
 from .guidance import (
     ILOSParams,
     PDGains,
-    WaypointPath,
     ilos_desired_heading,
     ilos_integrator_derivative,
     pd_rudder_command,
@@ -100,7 +99,9 @@ class AgentSpec:
     """Initial condition and mission of one vessel.
 
     ``waypoints`` are the targets to track, in order; the start position is
-    prepended as the origin of the first path segment.
+    prepended as the origin of the first path segment.  No two consecutive
+    points of that path may coincide; the last waypoint may equal the start,
+    closing a loop.
     """
 
     id: int
@@ -117,6 +118,10 @@ class AgentSpec:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not self.waypoints:
             raise ValueError("agent needs at least one waypoint")
+        path = (self.start, *self.waypoints)
+        for a, b in zip(path, path[1:]):
+            if math.hypot(b[0] - a[0], b[1] - a[1]) < 1e-9:
+                raise ValueError("consecutive waypoints must not coincide")
 
 
 @dataclass
@@ -180,10 +185,10 @@ class _AgentRuntime:
 
     __slots__ = (
         "spec", "deriv", "x", "y", "psi", "u", "v", "r", "delta",
-        "path", "y_int", "done", "time_to_goal", "frozen_psi_d", "prev_psi_d",
+        "waypoints", "k", "y_int", "done", "time_to_goal", "frozen_psi_d", "prev_psi_d",
         "collided", "min_ship_distance", "min_static_clearance",
         "ce_int", "ye_int", "prev_abs_delta", "prev_abs_ye",
-        "rows", "last_delta_c", "last_psi_d", "last_mode", "waypoints_reached",
+        "rows", "last_delta_c", "last_psi_d", "last_mode",
         "encounters", "vo_heading", "frame", "view",
     )
 
@@ -196,8 +201,10 @@ class _AgentRuntime:
         self.v = 0.0
         self.r = 0.0
         self.delta = 0.0
-        self.path = WaypointPath([spec.start, *spec.waypoints])
-        self.frame = segment_frame(*self.path.active_segment)
+        # the active segment joins waypoints[k] -> waypoints[k + 1]
+        self.waypoints = (spec.start, *spec.waypoints)
+        self.k = 0
+        self.frame = segment_frame(spec.start, spec.waypoints[0])
         self.y_int = 0.0
         self.done = False
         self.time_to_goal: Optional[float] = None
@@ -214,7 +221,6 @@ class _AgentRuntime:
         self.last_delta_c = 0.0
         self.last_psi_d = wrap_angle(spec.heading)
         self.last_mode = MODE_ILOS
-        self.waypoints_reached = 0
         # per-target COLREGS encounter class, kept while the pair stays
         # inside the detection radius (Rule 13(d): the class persists
         # until the vessels are past and clear)
@@ -345,16 +351,16 @@ class World:
             pos = (ag.x, ag.y)
 
             if not ag.done:
-                if should_switch_waypoint(pos, ag.path.active_target, R_tol):
-                    ag.waypoints_reached += 1
+                k = ag.k
+                if should_switch_waypoint(pos, ag.waypoints[k + 1], R_tol):
                     ag.y_int = 0.0
-                    if ag.path.on_final_segment:
+                    if k + 2 == len(ag.waypoints):
                         ag.done = True
                         ag.time_to_goal = t
                         ag.frozen_psi_d = ag.last_psi_d
                     else:
-                        ag.path.k += 1
-                        ag.frame = segment_frame(*ag.path.active_segment)
+                        ag.k = k + 1
+                        ag.frame = segment_frame(ag.waypoints[k + 1], ag.waypoints[k + 2])
 
             x_e, y_e = track_errors(pos, ag.frame)
             views = views_in_range(idx)
@@ -368,7 +374,7 @@ class World:
                     hold = ag.frozen_psi_d
                     goal = (ag.x + 50.0 * math.cos(hold), ag.y + 50.0 * math.sin(hold))
                 else:
-                    goal = ag.path.active_target
+                    goal = ag.waypoints[ag.k + 1]
                 psi_d = self._reactive_heading(ag, views, goal)
                 ag.prev_psi_d = psi_d
             else:
@@ -556,7 +562,7 @@ class World:
                 time_to_goal=ag.time_to_goal,
                 min_ship_distance=ag.min_ship_distance,
                 min_static_clearance=ag.min_static_clearance,
-                waypoints_reached=ag.waypoints_reached,
+                waypoints_reached=ag.k + 1 if ag.done else ag.k,
             ))
         mean_us = (self.guidance_ns / self.guidance_calls / 1000.0
                    if self.guidance_calls else 0.0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, NamedTuple
+from typing import NamedTuple
 
 from .frames import Vec2, wrap_angle
 from .mmg import ActuatorLimits
@@ -47,37 +47,6 @@ class PDGains:
     def __post_init__(self):
         if self.Kp_c <= 0.0 or self.Kd_c <= 0.0:
             raise ValueError("PD gains must be > 0")
-
-
-@dataclass
-class WaypointPath:
-    """Ordered waypoints (first entry is the start point of the first segment).
-
-    ``k`` indexes the active segment joining waypoints[k] -> waypoints[k+1];
-    the mission is complete once the final waypoint has been captured.
-    """
-
-    waypoints: List[Vec2]
-    k: int = 0
-
-    def __post_init__(self):
-        if len(self.waypoints) < 2:
-            raise ValueError("a path needs at least 2 waypoints")
-        for a, b in zip(self.waypoints, self.waypoints[1:]):
-            if math.hypot(b[0] - a[0], b[1] - a[1]) < 1e-9:
-                raise ValueError("consecutive waypoints must not coincide")
-
-    @property
-    def active_target(self) -> Vec2:
-        return self.waypoints[self.k + 1]
-
-    @property
-    def active_segment(self) -> tuple:
-        return self.waypoints[self.k], self.waypoints[self.k + 1]
-
-    @property
-    def on_final_segment(self) -> bool:
-        return self.k + 2 >= len(self.waypoints)
 
 
 def path_tangential_angle(wp_k: Vec2, wp_k1: Vec2) -> float:

@@ -71,7 +71,7 @@ class EnvSpec:
 @dataclass(frozen=True)
 class BatchSpec:
     """One seeded batch of an environment and method; rejects fewer than 2
-    runs, a negative seed and an unknown method."""
+    runs, a negative seed, an unknown method and fewer than 1 job."""
 
     env: EnvSpec
     method: str
@@ -87,6 +87,8 @@ class BatchSpec:
             raise ValueError("master_seed must be >= 0")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
 
 
 class AggregateStats(NamedTuple):
@@ -95,13 +97,13 @@ class AggregateStats(NamedTuple):
     n_runs: int
     n_errors: int
     success_rate: float
-    success_ci: float
+    success_ci95: float
     mean_ce: float
-    ce_ci: float
+    ce_ci95: float
     mean_mcte: float
-    mcte_ci: float
+    mcte_ci95: float
     mean_time_to_goal: Optional[float]
-    ttg_ci: Optional[float]
+    time_to_goal_ci95: Optional[float]
     mean_guidance_call_us: float = 0.0
 
 
@@ -340,7 +342,7 @@ def _run_one(args: Tuple[EnvSpec, str, int, int]) -> dict:
 def run_batch(spec: BatchSpec) -> List[dict]:
     """Run the batch; records are ordered by run index for any jobs count."""
     args = [(spec.env, spec.method, spec.master_seed, i) for i in range(spec.n_runs)]
-    if spec.jobs <= 1:
+    if spec.jobs == 1:
         _init_worker()
         return [_run_one(a) for a in args]
     from multiprocessing import Pool  # only parallel batches load multiprocessing
@@ -380,10 +382,10 @@ def aggregate(records: Sequence[dict]) -> AggregateStats:
     mean_us = statistics.fmean(timing) if timing else 0.0
     return AggregateStats(
         n_runs=n, n_errors=n_err,
-        success_rate=p, success_ci=success_ci,
-        mean_ce=mean_ce, ce_ci=ce_ci,
-        mean_mcte=mean_mcte, mcte_ci=mcte_ci,
-        mean_time_to_goal=mean_ttg, ttg_ci=ttg_ci,
+        success_rate=p, success_ci95=success_ci,
+        mean_ce=mean_ce, ce_ci95=ce_ci,
+        mean_mcte=mean_mcte, mcte_ci95=mcte_ci,
+        mean_time_to_goal=mean_ttg, time_to_goal_ci95=ttg_ci,
         mean_guidance_call_us=mean_us,
     )
 

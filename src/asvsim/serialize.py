@@ -345,18 +345,9 @@ def result_to_dict(result: SimResult, scenario: Scenario) -> dict:
 
 def aggregate_to_dict(agg: AggregateStats) -> dict:
     """The deterministic aggregate statistics (no wall-clock timing)."""
-    return {
-        "n_runs": agg.n_runs,
-        "n_errors": agg.n_errors,
-        "success_rate": agg.success_rate,
-        "success_ci95": agg.success_ci,
-        "mean_ce": agg.mean_ce,
-        "ce_ci95": agg.ce_ci,
-        "mean_mcte": agg.mean_mcte,
-        "mcte_ci95": agg.mcte_ci,
-        "mean_time_to_goal": agg.mean_time_to_goal,
-        "time_to_goal_ci95": agg.ttg_ci,
-    }
+    doc = agg._asdict()
+    del doc["mean_guidance_call_us"]
+    return doc
 
 
 def strip_timing(record: dict) -> dict:

@@ -9,7 +9,6 @@ from asvsim.frames import wrap_angle
 from asvsim.guidance import (
     ILOSParams,
     PDGains,
-    WaypointPath,
     ilos_desired_heading,
     ilos_integrator_derivative,
     path_tangential_angle,
@@ -18,7 +17,6 @@ from asvsim.guidance import (
     should_switch_waypoint,
     track_errors,
 )
-from asvsim.engine import AgentSpec, Scenario
 from asvsim import scenarios
 
 DELTA_35 = math.radians(35.0)
@@ -124,21 +122,6 @@ class TestPDCommand:
         rng = np.random.default_rng(11)
         for a, b in rng.uniform(-math.pi, math.pi, size=(1000, 2)):
             assert abs(wrap_angle(a - b)) <= math.pi
-
-
-class TestWaypointPath:
-    def test_needs_two_waypoints(self):
-        with pytest.raises(ValueError):
-            WaypointPath([(0, 0)])
-
-    def test_rejects_coincident_consecutive(self):
-        with pytest.raises(ValueError):
-            WaypointPath([(0, 0), (0, 0), (1, 1)])
-
-    def test_square_loop_allowed(self):
-        path = WaypointPath([(0, 0), (10, 0), (10, 10), (0, 10), (0, 0)])
-        assert path.active_target == (10, 0)
-        assert not path.on_final_segment
 
 
 class TestClosedLoop:

@@ -193,20 +193,20 @@ class TestAggregation:
     def test_all_success_degenerate_ci(self):
         agg = aggregate(self._records(["success"] * 20))
         assert agg.success_rate == 1.0
-        assert agg.success_ci == 0.0
+        assert agg.success_ci95 == 0.0
 
     def test_95_of_100_ci(self):
         outcomes = ["success"] * 95 + ["collision"] * 5
         agg = aggregate(self._records(outcomes))
         assert agg.success_rate == pytest.approx(0.95)
-        assert agg.success_ci == pytest.approx(1.96 * math.sqrt(0.95 * 0.05 / 100),
-                                               abs=1e-9)
-        assert agg.success_ci == pytest.approx(0.0427, abs=2e-4)
+        assert agg.success_ci95 == pytest.approx(1.96 * math.sqrt(0.95 * 0.05 / 100),
+                                                 abs=1e-9)
+        assert agg.success_ci95 == pytest.approx(0.0427, abs=2e-4)
 
     def test_constant_metric_zero_ci(self):
         agg = aggregate(self._records(["success"] * 10))
-        assert agg.ce_ci == 0.0
-        assert agg.mcte_ci == 0.0
+        assert agg.ce_ci95 == 0.0
+        assert agg.mcte_ci95 == 0.0
 
     def test_permutation_invariant(self):
         recs = self._records(["success", "collision"] * 10, ce=0.2)
@@ -216,16 +216,16 @@ class TestAggregation:
         a2 = aggregate(list(reversed(recs)))
         assert a1.success_rate == a2.success_rate
         assert a1.mean_ce == pytest.approx(a2.mean_ce)
-        assert a1.ce_ci == pytest.approx(a2.ce_ci)
+        assert a1.ce_ci95 == pytest.approx(a2.ce_ci95)
 
     def test_one_success_has_zero_ttg_ci(self):
         agg = aggregate(self._records(["success", "collision", "timeout"], ttg=42.0))
-        assert (agg.mean_time_to_goal, agg.ttg_ci) == (42.0, 0.0)
+        assert (agg.mean_time_to_goal, agg.time_to_goal_ci95) == (42.0, 0.0)
 
     def test_no_success_has_no_ttg(self):
         agg = aggregate(self._records(["collision", "timeout"]))
         assert agg.success_rate == 0.0
-        assert (agg.mean_time_to_goal, agg.ttg_ci) == (None, None)
+        assert (agg.mean_time_to_goal, agg.time_to_goal_ci95) == (None, None)
 
     def test_needs_two_records(self):
         with pytest.raises(ValueError):

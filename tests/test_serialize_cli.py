@@ -85,6 +85,10 @@ BAD_DOCUMENTS = {
     "agent_method": ({"agents": _agent(method="warp")}, "agents[0].method: unknown method"),
     "no_waypoints": ({"agents": _agent(waypoints=[])},
                      "agents[0].waypoints: must be a non-empty list"),
+    "start_on_waypoint": ({"agents": _agent(waypoints=[[0.0, 0.0], [60.0, 0.0]])},
+                          "agents[0]: consecutive waypoints must not coincide"),
+    "repeated_waypoint": ({"agents": _agent(waypoints=[[60.0, 0.0], [60.0, 0.0]])},
+                          "agents[0]: consecutive waypoints must not coincide"),
     "static_not_object": (dict(MINIMAL, static_obstacles=[3]),
                           "static_obstacles[0]: must be an object"),
     "block_not_object": (dict(MINIMAL, sim=[]), "sim: must be an object"),
@@ -399,6 +403,15 @@ class TestCLI:
         assert main(["validate", "--scenario", str(bad)]) == 1
         assert capsys.readouterr().err == "error: static_obstacles: must be a list\n"
 
+    @pytest.mark.parametrize("case", ["start_on_waypoint", "repeated_waypoint"])
+    def test_validate_rejects_coincident_waypoints(self, tmp_path, capsys, case):
+        # validate applies every check that simulate applies before its first step
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(BAD_DOCUMENTS[case][0]))
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: agents[0]: consecutive waypoints must not coincide\n"
+
     @pytest.mark.parametrize("case", sorted(BAD_WALLS))
     def test_validate_rejects_bad_channel_walls(self, tmp_path, capsys, case):
         walls, message = BAD_WALLS[case]
@@ -411,8 +424,8 @@ class TestCLI:
         ["batch", "--method", "mvortex"],
         ["compare", "--methods", "mvortex,inverse"],
     ], ids=["batch", "compare"])
-    @pytest.mark.parametrize("bad", [["--seed", "-1"], ["--runs", "1"]],
-                             ids=["negative_seed", "one_run"])
+    @pytest.mark.parametrize("bad", [["--seed", "-1"], ["--runs", "1"], ["--jobs", "0"]],
+                             ids=["negative_seed", "one_run", "no_jobs"])
     def test_monte_carlo_commands_reject_before_running(self, tmp_path, capsys,
                                                         monkeypatch, cmd, bad):
         def no_run(spec):

@@ -10,9 +10,12 @@ suite runs too.  The executable lines of a module are the line numbers of
 its compiled code objects (``co_lines``).  Code that runs only in a
 subprocess, such as a ``--jobs 2`` batch worker, is not seen.
 
-Prints the count of missed lines and every missed line that ALLOWED does
-not list, and exits 1 if there is one, if an ALLOWED entry names a line
-that ran or holds no code, or if the suite fails.
+An ALLOWED entry names a line by its file and its source text, stripped
+of surrounding white space, so that edits elsewhere in the file do not
+move it.  Prints the count of missed lines and every missed line that
+ALLOWED does not list, and exits 1 if there is one, if an ALLOWED text
+matches no line or more than one line of its file, if the line it matches
+ran or holds no code, or if the suite fails.
 
 usage: python3 tools/line_census.py
 """
@@ -26,12 +29,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "asvsim"
 
-#: "file:line" -> why no test runs it
+#: (file, stripped source line) -> why no test runs it
 ALLOWED = {
-    "cli.py:207": "the `python -m asvsim.cli` entry point; tests call main()",
-    "montecarlo.py:411": "paired-batch invariant: every method replays one seed, so the "
-                         "scenario hashes cannot differ",
-    "serialize.py:23": "TYPE_CHECKING import, for annotations only",
+    ("cli.py", "sys.exit(main())"):
+        "the `python -m asvsim.cli` entry point; tests call main()",
+    ("montecarlo.py",
+     'raise RuntimeError("paired comparison broke: scenario sets differ")'):
+        "paired-batch invariant: every method replays one seed, so the "
+        "scenario hashes cannot differ",
+    ("serialize.py", "from .montecarlo import AggregateStats"):
+        "TYPE_CHECKING import, for annotations only",
 }
 
 
@@ -76,9 +83,18 @@ def traced_suite(prefix: str):
     return code, hits
 
 
-def _key(entry: str):
-    name, line = entry.split(":")
-    return name, int(line)
+def allowed_lines() -> tuple:
+    """The (file, line) pairs ALLOWED names, and one message per entry whose
+    text matches no line or more than one line of its file."""
+    lines, errors = set(), []
+    for name, text in ALLOWED:
+        source = (PACKAGE / name).read_text(encoding="utf-8").splitlines()
+        matches = [n for n, line in enumerate(source, 1) if line.strip() == text]
+        if len(matches) == 1:
+            lines.add((name, matches[0]))
+        else:
+            errors.append(f"  allowed text matches {len(matches)} lines: {name}: {text}")
+    return lines, errors
 
 
 def main() -> int:
@@ -89,18 +105,21 @@ def main() -> int:
     for path in sorted(PACKAGE.glob("*.py")):
         lines = executable_lines(path)
         n_lines += len(lines)
-        missed.update(f"{path.name}:{n}" for n in lines - hits[str(path)])
-    unexplained = sorted(missed - ALLOWED.keys(), key=_key)
-    stale = sorted(ALLOWED.keys() - missed, key=_key)
+        missed.update((path.name, n) for n in lines - hits[str(path)])
+    allowed, errors = allowed_lines()
+    unexplained = sorted(missed - allowed)
+    stale = sorted(allowed - missed)
     print(f"line census: {len(missed)} of {n_lines} executable lines of src/asvsim "
           f"missed, {len(ALLOWED)} allowed")
-    for entry in unexplained:
-        print(f"  missed: {entry}")
-    for entry in stale:
-        print(f"  allowed, but ran or holds no code: {entry}")
+    for name, n in unexplained:
+        print(f"  missed: {name}:{n}")
+    for name, n in stale:
+        print(f"  allowed, but ran or holds no code: {name}:{n}")
+    for error in errors:
+        print(error)
     if code != 0:
         print(f"the test suite failed (pytest exit code {code})")
-    return 1 if unexplained or stale or code != 0 else 0
+    return 1 if unexplained or stale or errors or code != 0 else 0
 
 
 if __name__ == "__main__":
