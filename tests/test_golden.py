@@ -10,6 +10,7 @@ numerics on purpose must recompute them and say so.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -197,6 +198,10 @@ SUMMARY_DIGESTS = {
     "5/vo": "8fc583a626b1a8d27b8bb67350e00c354ea6a6ac55b7dc718f7b3322abfa2af4",
 }
 
+#: sha256 of the comparison.json that `asvsim compare --env 1 --methods
+#: mvortex,inverse,vo --runs 4 --seed 3` writes, for any --jobs
+COMPARISON_DIGEST = "053aab52132ef12a182165cda5c24047dc59091e94f540a082d81160c3b1ba55"
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -267,6 +272,15 @@ def test_series_plot_digest(case, tmp_path):
     assert main(["plot", "--traj", str(tmp_path / "trajectory.csv"), "--kind", kind,
                  "--scenario", str(scenario_path), "--out", str(svg)]) == 0
     assert sha256(svg.read_bytes()) == SERIES_SVG_DIGESTS[case]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_comparison_digest(jobs, tmp_path):
+    assert main(["compare", "--env", "1", "--methods", "mvortex,inverse,vo", "--runs", "4",
+                 "--seed", "3", "--jobs", jobs, "--out", str(tmp_path)]) == 0
+    assert sha256((tmp_path / "comparison.json").read_bytes()) == COMPARISON_DIGEST
+    timing = json.loads((tmp_path / "timing.json").read_text())
+    assert sorted(timing) == ["inverse", "mvortex", "vo"]
 
 
 @pytest.mark.slow
