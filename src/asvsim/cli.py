@@ -54,7 +54,7 @@ def cmd_batch(args) -> int:
         method = resolve_method(args.method)
         spec = montecarlo.BatchSpec(env=env, method=method, n_runs=args.runs,
                                     master_seed=args.seed, jobs=args.jobs)
-    except (ValueError, ScenarioError) as exc:
+    except ValueError as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     records = montecarlo.run_batch(spec)
@@ -76,38 +76,25 @@ def cmd_compare(args) -> int:
     try:
         env = montecarlo.EnvSpec.by_id(args.env)
         methods = [resolve_method(m.strip()) for m in args.methods.split(",")]
+        if len(set(methods)) < len(methods):
+            raise ValueError(f"--methods lists a method twice: {args.methods}")
         # validate every batch before the first one runs
-        montecarlo.paired_specs(env, methods, args.runs, args.seed, args.jobs)
-    except (ValueError, ScenarioError) as exc:
+        specs = [montecarlo.BatchSpec(env=env, method=m, n_runs=args.runs,
+                                      master_seed=args.seed, jobs=args.jobs)
+                 for m in methods]
+    except ValueError as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    cmp = montecarlo.compare_methods(env, methods, args.runs, args.seed, jobs=args.jobs)
+    records = montecarlo.compare_methods(specs)
+    aggregates = {m: montecarlo.aggregate(r) for m, r in records.items()}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "schema_version": "comparison-1",
-        "environment": args.env,
-        "n_runs": args.runs,
-        "master_seed": args.seed,
-        "methods": {
-            serialize.METHOD_SHORT[m]: serialize.aggregate_to_dict(cmp["aggregates"][m])
-            for m in methods
-        },
-        "success_rate_deltas": {
-            "-".join(serialize.METHOD_SHORT[m] for m in k.split("-")): v
-            for k, v in cmp["success_rate_deltas"].items()
-        },
-        "records": {
-            serialize.METHOD_SHORT[m]: [serialize.strip_timing(r) for r in cmp["records"][m]]
-            for m in methods
-        },
-    }
+    doc = serialize.comparison_dict(args.env, args.runs, args.seed, records, aggregates)
     (out / "comparison.json").write_text(dumps_canonical(doc), encoding="utf-8")
-    timing = {serialize.METHOD_SHORT[m]:
-              cmp["aggregates"][m].mean_guidance_call_us for m in methods}
+    timing = {serialize.METHOD_SHORT[m]: agg.mean_guidance_call_us
+              for m, agg in aggregates.items()}
     (out / "timing.json").write_text(dumps_canonical(timing), encoding="utf-8")
-    for m in methods:
-        agg = cmp["aggregates"][m]
+    for m, agg in aggregates.items():
         print(f"{serialize.METHOD_SHORT[m]:10s} success={agg.success_rate:.4f} "
               f"ce={agg.mean_ce:.4f} mcte={agg.mean_mcte:.4f} "
               f"guidance_us={agg.mean_guidance_call_us:.1f}")
@@ -134,7 +121,7 @@ def cmd_plot(args) -> int:
             plots.plot_distances(rows, args.out, r_safe=config.R_safe)
         else:
             raise ValueError(f"unknown plot kind {args.kind!r}")
-    except (OSError, ValueError, ScenarioError) as exc:
+    except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

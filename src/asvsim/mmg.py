@@ -16,6 +16,7 @@ straight-run hull resistance.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -243,7 +244,9 @@ class ShipModel:
             delta_rate_max=math.radians(5.0) * self.ship.L / self.ship.U_des)
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def default_kcs(cls) -> "ShipModel":
+        """The packaged KCS model, loaded once per process."""
         text = resources.files("asvsim.data").joinpath("kcs_coeffs.json").read_text()
         return cls(json.loads(text))
 

@@ -24,7 +24,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .apf import FieldSingularity, StaticObstacle
 from .engine import METHODS, AgentSpec, Scenario, SimConfig, SimulationError, run
-from .mmg import ShipModel
 
 #: static / dynamic obstacle counts per environment id
 ENVIRONMENTS: Dict[int, Tuple[int, int]] = {
@@ -290,15 +289,6 @@ def scenario_hash(scenario: Scenario) -> str:
 # ---------------------------------------------------------------------------
 # batch execution
 
-# loaded by _init_worker, which run_batch calls in every process it runs on
-_WORKER_MODEL: Optional[ShipModel] = None
-
-
-def _init_worker() -> None:
-    global _WORKER_MODEL
-    _WORKER_MODEL = ShipModel.default_kcs()
-
-
 def _run_one(args: Tuple[EnvSpec, str, int, int]) -> dict:
     """Execute one seeded run; returns a per-run record.
 
@@ -318,7 +308,7 @@ def _run_one(args: Tuple[EnvSpec, str, int, int]) -> dict:
         "timing_us": 0.0,
     }
     try:
-        result = run(scenario, model=_WORKER_MODEL, record=False)
+        result = run(scenario, record=False)
     except (SimulationError, FieldSingularity) as exc:
         record.update(outcome="error", error=str(exc), end_reason="error",
                       ce=None, mcte=None, time_to_goal=None,
@@ -343,10 +333,9 @@ def run_batch(spec: BatchSpec) -> List[dict]:
     """Run the batch; records are ordered by run index for any jobs count."""
     args = [(spec.env, spec.method, spec.master_seed, i) for i in range(spec.n_runs)]
     if spec.jobs == 1:
-        _init_worker()
         return [_run_one(a) for a in args]
     from multiprocessing import Pool  # only parallel batches load multiprocessing
-    with Pool(processes=spec.jobs, initializer=_init_worker) as pool:
+    with Pool(processes=spec.jobs) as pool:
         return pool.map(_run_one, args)
 
 
@@ -390,32 +379,12 @@ def aggregate(records: Sequence[dict]) -> AggregateStats:
     )
 
 
-def paired_specs(env: EnvSpec, methods: Sequence[str], n_runs: int,
-                 master_seed: int, jobs: int = 1) -> List[BatchSpec]:
-    """One validated batch per method, all on the same seed and so on the
-    same scenarios."""
-    return [BatchSpec(env=env, method=m, n_runs=n_runs, master_seed=master_seed,
-                      jobs=jobs) for m in methods]
-
-
-def compare_methods(env: EnvSpec, methods: Sequence[str], n_runs: int,
-                    master_seed: int, jobs: int = 1) -> dict:
-    """Paired comparison: every method replays the identical scenario set.
-    Every batch is validated before the first one runs."""
-    specs = paired_specs(env, methods, n_runs, master_seed, jobs)
-    per_method: Dict[str, List[dict]] = {s.method: run_batch(s) for s in specs}
-    hashes = None
-    for method, records in per_method.items():
-        h = [r["scenario_hash"] for r in records]
-        if hashes is None:
-            hashes = h
-        elif h != hashes:
-            raise RuntimeError("paired comparison broke: scenario sets differ")
-    aggregates = {m: aggregate(records) for m, records in per_method.items()}
-    deltas = {}
-    for i, m1 in enumerate(methods):
-        for m2 in methods[i + 1:]:
-            deltas[f"{m1}-{m2}"] = (aggregates[m1].success_rate
-                                    - aggregates[m2].success_rate)
-    return {"aggregates": aggregates, "records": per_method,
-            "success_rate_deltas": deltas}
+def compare_methods(specs: Sequence[BatchSpec]) -> Dict[str, List[dict]]:
+    """Paired comparison: runs each batch in turn and returns the records of
+    each method.  The batches must replay one scenario set, so they share
+    the environment, run count and master seed; RuntimeError if they do not."""
+    per_method = {s.method: run_batch(s) for s in specs}
+    hashes = [[r["scenario_hash"] for r in records] for records in per_method.values()]
+    if any(h != hashes[0] for h in hashes):
+        raise RuntimeError("paired comparison broke: scenario sets differ")
+    return per_method

@@ -25,6 +25,7 @@ if TYPE_CHECKING:  # annotations only: the scenario path does not load montecarl
 SCENARIO_SCHEMA_VERSION = "scenario-1"
 RESULT_SCHEMA_VERSION = "result-1"
 BATCH_SCHEMA_VERSION = "batch-summary-1"
+COMPARISON_SCHEMA_VERSION = "comparison-1"
 
 CSV_COLUMNS = ("t_prime", "agent_id", "x_L", "y_L", "psi_rad", "u_nd", "v_nd",
                "r_nd", "delta_rad", "delta_c_rad", "psi_d_rad", "mode", "y_e_L")
@@ -365,6 +366,28 @@ def batch_summary_dict(env_id, method: str, n_runs: int, master_seed: int,
         "master_seed": master_seed,
         "aggregate": aggregate_to_dict(agg),
         "records": [strip_timing(r) for r in records],
+    }
+
+
+def comparison_dict(env_id, n_runs: int, master_seed: int,
+                    records: Dict[str, Sequence[dict]],
+                    aggregates: Dict[str, AggregateStats]) -> dict:
+    """Deterministic paired comparison (timing excluded by design), keyed by
+    short method name; a success-rate delta for each pair of methods, the
+    earlier-listed method first."""
+    methods = list(records)
+    return {
+        "schema_version": COMPARISON_SCHEMA_VERSION,
+        "environment": env_id,
+        "n_runs": n_runs,
+        "master_seed": master_seed,
+        "methods": {METHOD_SHORT[m]: aggregate_to_dict(aggregates[m]) for m in methods},
+        "success_rate_deltas": {
+            f"{METHOD_SHORT[m1]}-{METHOD_SHORT[m2]}":
+                aggregates[m1].success_rate - aggregates[m2].success_rate
+            for i, m1 in enumerate(methods) for m2 in methods[i + 1:]
+        },
+        "records": {METHOD_SHORT[m]: [strip_timing(r) for r in records[m]] for m in methods},
     }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from asvsim.engine import run
+from asvsim.engine import AgentSpec, Scenario, World, run
 from asvsim.frames import wrap_angle
 from asvsim.guidance import (
     ILOSParams,
@@ -126,42 +126,17 @@ class TestPDCommand:
 
 class TestClosedLoop:
     def test_cross_track_regulation(self, model):
-        # start 5L off a straight 60L segment: |y_e| < 0.5L within 40 t'
-        # with no limit cycling afterwards
-        from asvsim.mmg import rudder_rate, self_propulsion_rpm
-
-        ilos, gains, limits = ILOSParams(), PDGains(), model.limits
-        n_prop = self_propulsion_rpm(1.0, model.coeffs)
-        deriv = model.make_derivative(n_prop)
-        frame = segment_frame((0.0, 0.0), (60.0, 0.0))
-        x, y, psi, u, v, r, delta = 0.0, 5.0, 0.0, 1.0, 0.0, 0.0, 0.0
-        y_int = 0.0
-        dt = 0.1
-        series = []
-        for k in range(800):
-            t = k * dt
-            x_e, y_e = track_errors((x, y), frame)
-            series.append((t, y_e))
-            psi_d = ilos_desired_heading(frame.angle, y_e, y_int, ilos)
-            y_int += dt * ilos_integrator_derivative(y_e, y_int, ilos)
-            delta_c = pd_rudder_command(psi, psi_d, r, gains, limits)
-            delta = max(-limits.delta_max,
-                        min(limits.delta_max, delta + dt * rudder_rate(delta, delta_c, limits)))
-            k1 = deriv(x, y, psi, u, v, r, delta)
-            k2 = deriv(x + 0.05 * k1[0], y + 0.05 * k1[1], psi + 0.05 * k1[2],
-                       u + 0.05 * k1[3], v + 0.05 * k1[4], r + 0.05 * k1[5], delta)
-            k3 = deriv(x + 0.05 * k2[0], y + 0.05 * k2[1], psi + 0.05 * k2[2],
-                       u + 0.05 * k2[3], v + 0.05 * k2[4], r + 0.05 * k2[5], delta)
-            k4 = deriv(x + 0.1 * k3[0], y + 0.1 * k3[1], psi + 0.1 * k3[2],
-                       u + 0.1 * k3[3], v + 0.1 * k3[4], r + 0.1 * k3[5], delta)
-            x += dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            y += dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            psi = wrap_angle(psi + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]))
-            u += dt / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-            v += dt / 6 * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
-            r += dt / 6 * (k1[5] + 2 * k2[5] + 2 * k3[5] + k4[5])
-        late = [abs(ye) for t, ye in series if t >= 40.0]
-        assert late, "run too short"
+        # start 5L off a straight 100L segment: |y_e| < 0.5L within 40 t'
+        # with no limit cycling afterwards, through the engine's integrator
+        agent = AgentSpec(id=0, start=(0.0, 0.0), heading=0.0, speed=1.0,
+                          waypoints=((100.0, 0.0),))
+        world = World(Scenario(agents=[agent]), model=model)
+        world.agents[0].y = 5.0
+        while world.step():
+            pass
+        rows = world.result().trajectories[0]
+        assert rows[-1][0] >= 80.0, "run too short"
+        late = [abs(row[11]) for row in rows if row[0] >= 40.0]
         assert max(late) < 0.5
 
     def test_square_path_completion(self, model):

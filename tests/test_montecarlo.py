@@ -233,19 +233,18 @@ class TestAggregation:
 
 
 class TestCompare:
+    @staticmethod
+    def specs(n_runs, *cells):
+        return [BatchSpec(env=EnvSpec.by_id(1), method=method, n_runs=n_runs,
+                          master_seed=seed) for method, seed in cells]
+
     def test_paired_scenarios_identical(self):
-        out = compare_methods(EnvSpec.by_id(1), ["apf_mvortex", "apf_inverse"],
-                              n_runs=4, master_seed=11, jobs=1)
-        h1 = [r["scenario_hash"] for r in out["records"]["apf_mvortex"]]
-        h2 = [r["scenario_hash"] for r in out["records"]["apf_inverse"]]
+        out = compare_methods(self.specs(4, ("apf_mvortex", 11), ("apf_inverse", 11)))
+        assert list(out) == ["apf_mvortex", "apf_inverse"]
+        h1 = [r["scenario_hash"] for r in out["apf_mvortex"]]
+        h2 = [r["scenario_hash"] for r in out["apf_inverse"]]
         assert h1 == h2
-        assert "apf_mvortex-apf_inverse" in out["success_rate_deltas"]
 
-    def test_one_run_rejected_before_any_batch(self, monkeypatch):
-        def no_run(spec):
-            raise AssertionError("a batch ran")
-
-        monkeypatch.setattr(montecarlo, "run_batch", no_run)
-        with pytest.raises(ValueError, match="n_runs must be >= 2"):
-            compare_methods(EnvSpec.by_id(1), ["apf_mvortex", "apf_inverse"],
-                            n_runs=1, master_seed=11, jobs=1)
+    def test_unpaired_seeds_rejected(self):
+        with pytest.raises(RuntimeError, match="paired comparison broke"):
+            compare_methods(self.specs(2, ("apf_mvortex", 11), ("apf_inverse", 12)))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -46,6 +47,21 @@ MINIMAL = {
     "agents": [
         {"id": 0, "start": [0.0, 0.0], "waypoints": [[60.0, 0.0]]}
     ]
+}
+
+#: the Monte Carlo commands, each with a valid method argument
+MC_COMMANDS = {
+    "batch": ["batch", "--method", "mvortex"],
+    "compare": ["compare", "--methods", "mvortex,inverse"],
+}
+
+#: arguments a Monte Carlo command must reject before its first batch runs;
+#: a repeated option overrides the command's earlier value
+BAD_MC_ARGS = {
+    "negative_seed": ["--seed", "-1"],
+    "one_run": ["--runs", "1"],
+    "no_jobs": ["--jobs", "0"],
+    "repeated_method": ["--methods", "mvortex,mvortex"],
 }
 
 #: channel walls that cannot bound a channel, with the message they get;
@@ -420,20 +436,18 @@ class TestCLI:
         assert main(["validate", "--scenario", str(bad)]) == 1
         assert capsys.readouterr().err == f"error: channel: {message}\n"
 
-    @pytest.mark.parametrize("cmd", [
-        ["batch", "--method", "mvortex"],
-        ["compare", "--methods", "mvortex,inverse"],
-    ], ids=["batch", "compare"])
-    @pytest.mark.parametrize("bad", [["--seed", "-1"], ["--runs", "1"], ["--jobs", "0"]],
-                             ids=["negative_seed", "one_run", "no_jobs"])
+    @pytest.mark.parametrize("bad, cmd", [
+        *itertools.product(["negative_seed", "one_run", "no_jobs"], ["batch", "compare"]),
+        ("repeated_method", "compare"),
+    ])
     def test_monte_carlo_commands_reject_before_running(self, tmp_path, capsys,
                                                         monkeypatch, cmd, bad):
         def no_run(spec):
             raise AssertionError("a batch ran")
 
         monkeypatch.setattr("asvsim.montecarlo.run_batch", no_run)
-        code = main([*cmd, "--env", "1", "--runs", "2", "--jobs", "1", *bad,
-                     "--out", str(tmp_path)])
+        code = main([*MC_COMMANDS[cmd], "--env", "1", "--runs", "2", "--jobs", "1",
+                     *BAD_MC_ARGS[bad], "--out", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []

@@ -33,10 +33,6 @@ PACKAGE = ROOT / "src" / "asvsim"
 ALLOWED = {
     ("cli.py", "sys.exit(main())"):
         "the `python -m asvsim.cli` entry point; tests call main()",
-    ("montecarlo.py",
-     'raise RuntimeError("paired comparison broke: scenario sets differ")'):
-        "paired-batch invariant: every method replays one seed, so the "
-        "scenario hashes cannot differ",
     ("serialize.py", "from .montecarlo import AggregateStats"):
         "TYPE_CHECKING import, for annotations only",
 }
