@@ -265,8 +265,6 @@ def radial_tangential(own: OwnShip, obs: ObstacleView, gamma: float) -> Tuple[fl
 
 def vortex_scale_factor(separation: float, v_r: float, R_safe: float) -> float:
     """Risk scaling f >= 1; grows as separation shrinks or closing speed rises."""
-    if separation <= 0.0:
-        raise ValueError("separation must be > 0")
     return max(1.0, 2.0 - separation / R_safe - v_r)
 
 

@@ -437,9 +437,8 @@ class World:
                           goal: Vec2) -> float:
         """Dispatch to the agent's reactive guidance law, timing the call.
 
-        The clock covers the law's own call(s) only; the VO target list is
-        built before it starts.  The APF laws read the own-ship state from
-        the agent itself.
+        The clock covers the law's own call(s) only.  The APF laws read the
+        own-ship state from the agent itself.
         """
         scn = self.scenario
         method = ag.spec.method
@@ -447,16 +446,15 @@ class World:
             # the chosen evasive course is maintained until it stops being
             # admissible; it is dropped when the vessel steers clear of all
             # traffic (reactive mode ends)
-            targets = [(v.position, v.velocity_global, v.radius) for v in views]
             speed = math.hypot(ag.u, ag.v)
             pos = (ag.x, ag.y)
             t0 = time.perf_counter_ns()
             if ag.vo_heading is not None and vo.heading_admissible(
-                    pos, speed, ag.vo_heading, targets, scn.vo_params):
+                    pos, speed, ag.vo_heading, views, scn.vo_params):
                 psi_d = ag.vo_heading
             else:
                 psi_d = ag.vo_heading = vo.vo_desired_heading(
-                    pos, speed, goal, targets, scn.vo_params)
+                    pos, speed, goal, views, scn.vo_params)
         else:
             t0 = time.perf_counter_ns()
             if method == "apf_inverse":

@@ -49,15 +49,6 @@ class PDGains:
             raise ValueError("PD gains must be > 0")
 
 
-def path_tangential_angle(wp_k: Vec2, wp_k1: Vec2) -> float:
-    """Four-quadrant angle of the segment wp_k -> wp_k1."""
-    dx = wp_k1[0] - wp_k[0]
-    dy = wp_k1[1] - wp_k[1]
-    if math.hypot(dx, dy) < 1e-9:
-        raise ValueError("coincident waypoints")
-    return math.atan2(dy, dx)
-
-
 class SegmentFrame(NamedTuple):
     """Path-fixed frame of one segment: its start point, its tangential angle
     pi_p and that angle's cosine and sine.  Fixed while the segment is
@@ -70,8 +61,8 @@ class SegmentFrame(NamedTuple):
 
 
 def segment_frame(wp_k: Vec2, wp_k1: Vec2) -> SegmentFrame:
-    """Frame of the segment wp_k -> wp_k1."""
-    pi_p = path_tangential_angle(wp_k, wp_k1)
+    """Frame of the segment wp_k -> wp_k1, whose ends ``AgentSpec`` keeps apart."""
+    pi_p = math.atan2(wp_k1[1] - wp_k[1], wp_k1[0] - wp_k[0])
     return SegmentFrame(wp_k, pi_p, math.cos(pi_p), math.sin(pi_p))
 
 
@@ -97,8 +88,6 @@ def ilos_integrator_derivative(y_e: float, y_int: float, p: ILOSParams) -> float
 
 def should_switch_waypoint(pos: Vec2, wp_k1: Vec2, R_tol: float) -> bool:
     """True once the vessel is within (<=) the switching radius of the target."""
-    if R_tol <= 0.0:
-        raise ValueError("R_tol must be > 0")
     return math.hypot(wp_k1[0] - pos[0], wp_k1[1] - pos[1]) <= R_tol
 
 

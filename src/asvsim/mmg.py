@@ -144,17 +144,11 @@ _EPS_SPEED = 1e-9
 _RPM_TOL = 1e-8
 
 
-def _advance_ratio(u: float, n_prop: float, c: HydroCoeffs) -> float:
-    return (1.0 - c.w_p0) * u * c.U_des / (n_prop * c.D_p)
-
-
 def propeller_force(u: float, n_prop: float, c: HydroCoeffs) -> float:
     """Propeller surge force X_P from the quadratic open-water fit."""
-    if n_prop < 0.0:
-        raise ValueError("n_prop must be >= 0")
     if n_prop == 0.0:
         return 0.0
-    J = _advance_ratio(u, n_prop, c)
+    J = (1.0 - c.w_p0) * u * c.U_des / (n_prop * c.D_p)
     K_T = c.k_0 + c.k_1 * J + c.k_2 * J * J
     thrust = c.rho_w * n_prop ** 2 * c.D_p ** 4 * K_T
     norm = 0.5 * c.rho_w * c.U_des ** 2 * c.L * c.d_em
@@ -174,9 +168,8 @@ def self_propulsion_rpm(target_u: float, c: HydroCoeffs) -> float:
 
     Bisection on the straight-run force residual X_P + X_H; raises
     CoefficientError if no sign change is found in the search bracket.
+    ``target_u`` is an ``AgentSpec`` speed, so it lies in (0, 1.2].
     """
-    if not 0.0 < target_u <= 1.2:
-        raise ValueError(f"target_u must be in (0, 1.2], got {target_u}")
     X_H = (target_u * target_u) * -c.R_0  # hull resistance at v = r = 0
 
     def residual(n: float) -> float:

@@ -11,9 +11,10 @@ deterministic and biases ties toward small deviations and starboard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence
 
+from .apf import ObstacleView
 from .frames import Vec2
 
 
@@ -37,18 +38,14 @@ class CollisionCone:
     """Forbidden relative-velocity cone for one target.
 
     ``whole_plane`` marks targets already inside the combined radius, for
-    which every candidate is counted as violating.  ``cos_half_angle`` is
-    derived once, on construction.
+    which every candidate is counted as violating; their ``cos_half_angle``
+    of -1.0 is never read.
     """
 
     apex_velocity: Vec2
     axis: Vec2  # unit vector from own position toward the target
-    half_angle: float
+    cos_half_angle: float
     whole_plane: bool = False
-    cos_half_angle: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "cos_half_angle", math.cos(self.half_angle))
 
     def forbids(self, w: Vec2) -> bool:
         """True when own velocity w leads to collision with this target."""
@@ -72,25 +69,25 @@ def collision_cone(own_pos: Vec2, target_pos: Vec2, target_vel: Vec2,
     dy = target_pos[1] - own_pos[1]
     sep = math.hypot(dx, dy)
     if sep <= cone_radius:
-        return CollisionCone(target_vel, (1.0, 0.0), math.pi, whole_plane=True)
+        return CollisionCone(target_vel, (1.0, 0.0), -1.0, whole_plane=True)
     return CollisionCone(
         apex_velocity=target_vel,
         axis=(dx / sep, dy / sep),
-        half_angle=math.asin(cone_radius / sep),
+        cos_half_angle=math.cos(math.asin(cone_radius / sep)),
     )
 
 
 def heading_admissible(own_pos: Vec2, own_speed: float, heading: float,
-                       targets: Sequence[Tuple[Vec2, Vec2, float]],
-                       p: VOParams) -> bool:
+                       views: Sequence[ObstacleView], p: VOParams) -> bool:
     """True when sailing `heading` at the current speed clears every cone.
 
     Cones are built one at a time and the test stops at the first that
     forbids the course.
     """
     w = (own_speed * math.cos(heading), own_speed * math.sin(heading))
-    for pos, vel, radius in targets:
-        if collision_cone(own_pos, pos, vel, p.cone_radius + radius).forbids(w):
+    for obs in views:
+        if collision_cone(own_pos, obs.position, obs.velocity_global,
+                          p.cone_radius + obs.radius).forbids(w):
             return False
     return True
 
@@ -99,15 +96,15 @@ def vo_desired_heading(
     own_pos: Vec2,
     own_speed: float,
     goal: Vec2,
-    targets: Sequence[Tuple[Vec2, Vec2, float]],
+    views: Sequence[ObstacleView],
     p: VOParams,
 ) -> float:
     """Heading choice at constant (current) speed clearing all cones.
 
-    ``targets`` are the detected (position, global velocity, effective
-    radius) triples, those within the detection radius.  Candidates are
-    goal bearing +/- i*resolution with +i checked first, so exact ties
-    resolve to starboard.  If no candidate clears every cone, the candidate violating
+    ``views`` are the obstacles within the detection radius, each widening
+    its cone by its effective radius.  Candidates are goal bearing
+    +/- i*resolution with +i checked first, so exact ties resolve to
+    starboard.  If no candidate clears every cone, the candidate violating
     the fewest cones (first in enumeration order) is returned.
 
     Whole-plane cones are violated by every candidate, so they add the
@@ -119,10 +116,10 @@ def vo_desired_heading(
     if own_speed <= 0.0:
         raise ValueError("own speed must be > 0 for the constant-speed search")
     goal_bearing = math.atan2(goal[1] - own_pos[1], goal[0] - own_pos[0])
-    if not targets:
+    if not views:
         return goal_bearing
-    cones = [collision_cone(own_pos, pos, vel, p.cone_radius + radius)
-             for pos, vel, radius in targets]
+    cones = [collision_cone(own_pos, obs.position, obs.velocity_global, p.cone_radius + obs.radius)
+             for obs in views]
     tests = [cone.forbids for cone in cones if not cone.whole_plane]
 
     n_steps = int(round(p.max_course_change / p.heading_resolution))

@@ -302,10 +302,6 @@ class TestScaleFactor:
     def test_floor(self):
         assert vortex_scale_factor(15.0, 1.0, 15.0) == 1.0
 
-    def test_invalid_separation(self):
-        with pytest.raises(ValueError):
-            vortex_scale_factor(0.0, 0.0, 15.0)
-
 
 class TestEncounterClassification:
     def test_target_abaft_is_overtaken(self):

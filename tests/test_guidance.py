@@ -11,7 +11,6 @@ from asvsim.guidance import (
     PDGains,
     ilos_desired_heading,
     ilos_integrator_derivative,
-    path_tangential_angle,
     pd_rudder_command,
     segment_frame,
     should_switch_waypoint,
@@ -29,11 +28,7 @@ class TestPathTangentialAngle:
         ((0, 0), (0, -5), -math.pi / 2),
     ])
     def test_cases(self, a, b, expected):
-        assert path_tangential_angle(a, b) == pytest.approx(expected)
-
-    def test_coincident_waypoints_rejected(self):
-        with pytest.raises(ValueError):
-            path_tangential_angle((1, 1), (1, 1))
+        assert segment_frame(a, b).angle == pytest.approx(expected)
 
 
 class TestTrackErrors:
@@ -92,10 +87,6 @@ class TestWaypointSwitch:
     @pytest.mark.parametrize("dist,expected", [(2.9, True), (3.0, True), (3.1, False)])
     def test_switch_radius(self, dist, expected):
         assert should_switch_waypoint((0, 0), (dist, 0), 3.0) is expected
-
-    def test_invalid_radius(self):
-        with pytest.raises(ValueError):
-            should_switch_waypoint((0, 0), (1, 0), 0.0)
 
 
 class TestPDCommand:

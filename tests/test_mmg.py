@@ -158,15 +158,6 @@ class TestPropeller:
         rows = simulate_openloop(model, n, lambda t: 0.0, 200.0, u0=target)
         assert abs(rows[-1][4] - target) < 0.01
 
-    @pytest.mark.parametrize("target_u", [0.0, 1.3])
-    def test_self_propulsion_speed_range(self, model, target_u):
-        with pytest.raises(ValueError, match=r"target_u must be in \(0, 1.2\]"):
-            self_propulsion_rpm(target_u, model.coeffs)
-
-    def test_negative_revolutions_rejected(self, model):
-        with pytest.raises(ValueError):
-            propeller_force(1.0, -1.0, model.coeffs)
-
 
 class TestRudder:
     def test_zero_deflection(self, model):

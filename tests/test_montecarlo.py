@@ -7,7 +7,6 @@ from asvsim import montecarlo
 from asvsim.apf import FieldSingularity
 from asvsim.montecarlo import (
     ENVIRONMENTS,
-    AggregateStats,
     BatchSpec,
     EnvSpec,
     SamplingError,
@@ -181,6 +180,19 @@ class TestBatch:
         assert records[2]["end_reason"] == "error" and records[2]["ce"] is None
         agg = aggregate(records)
         assert agg.n_errors == 2
+
+    def test_third_party_failure_recorded(self):
+        # a real failed run, not an injected one: agent 6 of run 1 collides,
+        # which under termination="own" does not end the run; at t' = 36.1
+        # its hull lies inside a static disc and the inverse-square field
+        # raises while the own ship is still sailing
+        spec = BatchSpec(env=EnvSpec.by_id(5), method="apf_inverse", n_runs=2,
+                         master_seed=201001)
+        records = run_batch(spec)
+        assert [r["outcome"] for r in records] == ["success", "error"]
+        assert records[1]["error"] == "vessel inside obstacle disc"
+        assert records[1]["ce"] is None
+        assert aggregate(records).n_errors == 1
 
 
 class TestAggregation:

@@ -3,7 +3,6 @@ import json
 import math
 import re
 from dataclasses import replace
-from pathlib import Path
 
 import jsonschema
 import pytest

@@ -3,13 +3,19 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from asvsim.apf import ObstacleView
 from asvsim.vo import VOParams, collision_cone, heading_admissible, vo_desired_heading
+
+
+def view(pos, vel=(0.0, 0.0), radius=0.0):
+    """An obstacle as the engine hands it to VO."""
+    return ObstacleView(pos, vel, True, radius)
 
 
 class TestCollisionCone:
     def test_half_angle(self):
         cone = collision_cone((0, 0), (10, 0), (0, 0), 2.0)
-        assert math.degrees(cone.half_angle) == pytest.approx(11.537, abs=1e-3)
+        assert math.degrees(math.acos(cone.cos_half_angle)) == pytest.approx(11.537, abs=1e-3)
 
     def test_direct_course_forbidden(self):
         cone = collision_cone((0, 0), (10, 0), (0.0, 0.0), 2.0)
@@ -42,25 +48,24 @@ class TestDesiredHeading:
         # half-angle within one resolution step
         p = VOParams(cone_radius=2.0)
         sep = 10.0
-        out = vo_desired_heading((0, 0), 1.0, (30, 0), [((sep, 0.0), (0.0, 0.0), 0.0)], p)
+        out = vo_desired_heading((0, 0), 1.0, (30, 0), [view((sep, 0.0))], p)
         half = math.asin(p.cone_radius / sep)
         assert abs(out) == pytest.approx(half, abs=p.heading_resolution + 1e-9)
 
     def test_starboard_preferred_on_tie(self):
         p = VOParams(cone_radius=2.0)
-        out = vo_desired_heading((0, 0), 1.0, (30, 0), [((10.0, 0.0), (0.0, 0.0), 0.0)], p)
+        out = vo_desired_heading((0, 0), 1.0, (30, 0), [view((10.0, 0.0))], p)
         assert out > 0.0
 
     def test_deviation_bounded(self):
         p = VOParams(cone_radius=6.0, max_course_change=math.radians(90.0))
-        targets = [((6.5, 0.0), (0.0, 0.0), 0.0), ((8.0, 3.0), (0.0, 0.0), 0.0),
-                   ((8.0, -3.0), (0.0, 0.0), 0.0)]
+        targets = [view((6.5, 0.0)), view((8.0, 3.0)), view((8.0, -3.0))]
         out = vo_desired_heading((0, 0), 1.0, (30, 0), targets, p)
         assert abs(out) <= math.radians(90.0) + 1e-12
 
     def test_solution_outside_cone(self):
         p = VOParams(cone_radius=2.0)
-        targets = [((10.0, 1.0), (0.0, 0.0), 0.0)]
+        targets = [view((10.0, 1.0))]
         out = vo_desired_heading((0, 0), 1.0, (30, 0), targets, p)
         w = (math.cos(out), math.sin(out))
         cone = collision_cone((0, 0), (10.0, 1.0), (0.0, 0.0), 2.0)
@@ -68,7 +73,7 @@ class TestDesiredHeading:
 
     def test_deterministic(self):
         p = VOParams()
-        targets = [((12.0, 2.0), (-0.7, 0.1), 0.0), ((9.0, -4.0), (0.2, 0.6), 0.5)]
+        targets = [view((12.0, 2.0), (-0.7, 0.1)), view((9.0, -4.0), (0.2, 0.6), 0.5)]
         outs = {vo_desired_heading((0, 0), 1.0, (30, 5), targets, p) for _ in range(5)}
         assert len(outs) == 1
 
@@ -80,7 +85,7 @@ class TestDesiredHeading:
 class TestHeadingAdmissible:
     def test_consistent_with_search(self):
         p = VOParams(cone_radius=2.0)
-        targets = [((10.0, 0.0), (0.0, 0.0), 0.0)]
+        targets = [view((10.0, 0.0))]
         chosen = vo_desired_heading((0, 0), 1.0, (30, 0), targets, p)
         assert heading_admissible((0, 0), 1.0, chosen, targets, p)
         assert not heading_admissible((0, 0), 1.0, 0.0, targets, p)
@@ -91,8 +96,8 @@ class TestHeadingAdmissible:
 
 
 def reference_cones(own_pos, targets, p):
-    return [collision_cone(own_pos, pos, vel, p.cone_radius + radius)
-            for pos, vel, radius in targets]
+    return [collision_cone(own_pos, t.position, t.velocity_global, p.cone_radius + t.radius)
+            for t in targets]
 
 
 def reference_violations(cones, speed, heading):
@@ -126,7 +131,7 @@ def reference_admissible(own_pos, speed, heading, targets, p):
 
 
 coord = st.floats(-16.0, 16.0)
-target = st.tuples(st.tuples(coord, coord),
+target = st.builds(view, st.tuples(coord, coord),
                    st.tuples(st.floats(-1.2, 1.2), st.floats(-1.2, 1.2)),
                    st.sampled_from([0.0, 0.5]))
 params = st.builds(
@@ -148,7 +153,9 @@ def scenes(draw):
     tie-break decides."""
     targets = draw(st.lists(target, max_size=8))
     if draw(st.booleans()):
-        targets += [((x, -y), (vx, -vy), r) for (x, y), (vx, vy), r in targets]
+        targets += [view((t.position[0], -t.position[1]),
+                         (t.velocity_global[0], -t.velocity_global[1]), t.radius)
+                    for t in targets]
     return (draw(st.floats(0.1, 1.2)), (draw(st.floats(20.0, 60.0)), 0.0), targets,
             draw(params))
 
@@ -168,8 +175,7 @@ class TestMatchesReference:
         # two hulls inside the cone radius forbid everything; a third cone
         # ahead leaves the fallback to the first candidate clear of it
         p = VOParams(cone_radius=2.0)
-        targets = [((1.0, 0.5), (0.0, 0.0), 0.0), ((-1.0, -1.0), (0.3, 0.0), 0.0),
-                   ((10.0, 0.0), (0.0, 0.0), 0.0)]
+        targets = [view((1.0, 0.5)), view((-1.0, -1.0), (0.3, 0.0)), view((10.0, 0.0))]
         cones = reference_cones((0.0, 0.0), targets, p)
         assert sum(c.whole_plane for c in cones) == 2
         chosen = vo_desired_heading((0.0, 0.0), 1.0, (30.0, 0.0), targets, p)
@@ -181,8 +187,8 @@ class TestMatchesReference:
     def test_fewest_violations_fallback_without_whole_plane(self):
         # a ring of moving targets leaves no clear candidate
         p = VOParams(cone_radius=4.0, max_course_change=math.radians(90.0))
-        targets = [((10.0 * math.cos(a), 10.0 * math.sin(a)),
-                    (-0.6 * math.cos(a), -0.6 * math.sin(a)), 0.0)
+        targets = [view((10.0 * math.cos(a), 10.0 * math.sin(a)),
+                        (-0.6 * math.cos(a), -0.6 * math.sin(a)))
                    for a in [math.radians(d) for d in range(-90, 91, 30)]]
         cones = reference_cones((0.0, 0.0), targets, p)
         assert not any(c.whole_plane for c in cones)
