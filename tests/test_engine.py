@@ -332,10 +332,12 @@ class TestScenarioValidation:
         (lambda: ILOSParams(R_tol=0.0), "Delta and R_tol must be > 0"),
         (lambda: AgentSpec(id=0, start=(0, 0), heading=0.0, speed=1.3, waypoints=((10, 0),)),
          r"assigned speed must be in \(0, 1.2\]"),
+        (lambda: AgentSpec(id=0, start=(0, 0), heading=0.0, speed=0.0, waypoints=((10, 0),)),
+         r"assigned speed must be in \(0, 1.2\]"),
         (lambda: AgentSpec(id=0, start=(1, 1), heading=0.0, speed=1.0, waypoints=((1, 1),)),
          "consecutive waypoints must not coincide"),
     ], ids=["termination", "no_waypoints", "switch_radius", "speed_above_range",
-            "start_on_waypoint"])
+            "speed_zero", "start_on_waypoint"])
     def test_invalid_spec_rejected(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
