@@ -29,7 +29,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from struct import Struct
+from typing import Dict, Iterator, List, MutableSequence, NamedTuple, Optional, Tuple
 
 from . import apf, vo
 from .apf import ChannelBoundary, HarmonicParams, InverseSquareParams, ObstacleView, StaticObstacle
@@ -58,6 +59,13 @@ OUTCOME_TIMEOUT = "timeout"
 
 # Cap on |u| that catches integrator blow-up.
 U_CAP = 2.0
+
+#: doubles per recorded agent-step, in trajectory-CSV column order without
+#: the agent id: t, x, y, psi, u, v, r, delta, delta_c, psi_d, mode, y_e
+ROW_LEN = 12
+# one row as the native doubles of an array('d'): appending the packed bytes
+# costs about a quarter of extending the array by a tuple
+_pack_row = Struct(f"{ROW_LEN}d").pack
 
 
 class SimulationError(RuntimeError):
@@ -162,8 +170,21 @@ class AgentResult(NamedTuple):
     waypoints_reached: int
 
 
+def track_rows(track: MutableSequence[float]) -> Iterator[tuple]:
+    """The rows of one recorded track, as ``ROW_LEN``-tuples in time order."""
+    return zip(*[iter(track)] * ROW_LEN)
+
+
 class SimResult(NamedTuple):
-    """End state of a run: its reason, the per-vessel results and guidance timing."""
+    """End state of a run: its reason, the per-vessel results and guidance timing.
+
+    A recorded run keeps each agent's rows in ``tracks``, one flat
+    ``array('d')`` per agent in id order: ``ROW_LEN`` doubles per step
+    (``n_steps + 1`` steps, the final state included), back to back in
+    trajectory-CSV column order, with ``mode`` stored as 0.0 or 1.0.  That
+    is about 97 bytes per recorded agent-step.  ``tracks`` is None for a run
+    made with ``record=False``.
+    """
 
     t_end: float
     end_reason: str
@@ -172,12 +193,19 @@ class SimResult(NamedTuple):
     n_steps: int
     guidance_calls: int
     guidance_time_us_mean: float
-    # populated only when the run records full time series
-    trajectories: Optional[List[List[tuple]]] = None
+    tracks: Optional[List[MutableSequence[float]]] = None
 
     @property
     def outcomes(self) -> List[str]:
         return [a.outcome for a in self.agents]
+
+    @property
+    def trajectories(self) -> Optional[List[List[tuple]]]:
+        """Row tuples per agent (``mode`` a float), built from ``tracks`` on
+        every read; None for an unrecorded run."""
+        if self.tracks is None:
+            return None
+        return [list(track_rows(t)) for t in self.tracks]
 
 
 class _AgentRuntime:
@@ -217,14 +245,16 @@ class _AgentRuntime:
         self.ye_int = 0.0
         self.prev_abs_delta = 0.0
         self.prev_abs_ye = 0.0
-        self.rows: List[tuple] = []
+        self.rows: Optional[MutableSequence[float]] = None  # set by a recording World
         self.last_delta_c = 0.0
         self.last_psi_d = wrap_angle(spec.heading)
         self.last_mode = MODE_ILOS
         # per-target COLREGS encounter class, kept while the pair stays
         # inside the detection radius (Rule 13(d): the class persists
-        # until the vessels are past and clear)
-        self.encounters: Dict[int, str] = {}
+        # until the vessels are past and clear); None for the laws that
+        # read no class, whose targets are never classified
+        self.encounters: Optional[Dict[int, str]] = (
+            {} if spec.method == "apf_mvortex" else None)
         # velocity-obstacle evasive course, held until it becomes forbidden
         # or the vessel steers clear of all traffic
         self.vo_heading: Optional[float] = None
@@ -256,6 +286,11 @@ class World:
         # invariant under permutations of the input agent list
         self.agents = [_AgentRuntime(spec, self.model)
                        for spec in sorted(scenario.agents, key=lambda s: s.id)]
+        if record:
+            from array import array  # only recording loads it
+
+            for ag in self.agents:
+                ag.rows = array("d")
         self._finalized = False
         self.t = 0.0
         self.step_index = 0
@@ -405,29 +440,31 @@ class World:
         ag.prev_abs_delta = abs_delta
         ag.prev_abs_ye = abs_ye
         if self.record:
-            ag.rows.append((self.t, ag.x, ag.y, ag.psi, ag.u, ag.v, ag.r, ag.delta,
-                            ag.last_delta_c, ag.last_psi_d, ag.last_mode, y_e))
+            ag.rows.frombytes(_pack_row(self.t, ag.x, ag.y, ag.psi, ag.u, ag.v, ag.r, ag.delta,
+                                        ag.last_delta_c, ag.last_psi_d, ag.last_mode, y_e))
 
     def _views_in_range(self, idx: int) -> List[ObstacleView]:
         """Obstacle views (other vessels + statics) within the detection
-        radius, read from the step's distance table; dynamic targets carry
-        their persistent encounter class."""
+        radius, read from the step's distance table; for an agent that keeps
+        encounter classes, dynamic targets carry their persistent class."""
         ags = self.agents
         ag = ags[idx]
         near = self._near_ships[idx]
         encounters = ag.encounters
-        if encounters:
+        if encounters is None:
+            views = [ags[jdx].obstacle_view() for jdx in near]
+        else:
             for jdx in [j for j in encounters if j not in near]:
                 del encounters[jdx]  # out of range: the pair is past and clear
-        views: List[ObstacleView] = []
-        for jdx in near:
-            view = ags[jdx].obstacle_view()
-            cls = encounters.get(jdx)
-            if cls is None:
-                cls = encounters[jdx] = apf.classify_encounter(ag, view)
-            if cls != apf.ENCOUNTER_ACTIVE:
-                view = ObstacleView(view.position, view.velocity_global, True, 0.0, cls)
-            views.append(view)
+            views = []
+            for jdx in near:
+                view = ags[jdx].obstacle_view()
+                cls = encounters.get(jdx)
+                if cls is None:
+                    cls = encounters[jdx] = apf.classify_encounter(ag, view)
+                if cls != apf.ENCOUNTER_ACTIVE:
+                    view = ObstacleView(view.position, view.velocity_global, True, 0.0, cls)
+                views.append(view)
         static_views = self._static_views
         for k in self._near_statics[idx]:
             views.append(static_views[k])
@@ -572,7 +609,7 @@ class World:
             n_steps=self.step_index,
             guidance_calls=self.guidance_calls,
             guidance_time_us_mean=mean_us,
-            trajectories=[ag.rows for ag in self.agents] if self.record else None,
+            tracks=[ag.rows for ag in self.agents] if self.record else None,
         )
 
 

@@ -15,7 +15,7 @@ import math
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .apf import ChannelBoundary, HarmonicParams, InverseSquareParams, StaticObstacle
-from .engine import METHODS, AgentSpec, Scenario, SimConfig, SimResult
+from .engine import METHODS, AgentSpec, Scenario, SimConfig, SimResult, track_rows
 from .guidance import ILOSParams, PDGains
 from .vo import VOParams
 
@@ -280,18 +280,18 @@ _CSV_ROW = "%r,%d,%r,%r,%r,%r,%r,%r,%r,%r,%r,%d,%r\r\n"
 def write_trajectory_csv(result: SimResult, path: str) -> None:
     """Write the trajectory CSV: a header, then one row per agent per step
     (steps in time order, agents in id order), in the ``excel`` dialect
-    that ``read_trajectory_csv`` reads."""
-    if result.trajectories is None:
+    that ``read_trajectory_csv`` reads.  Rows are read from
+    ``result.tracks`` one step at a time, never as whole row lists."""
+    if result.tracks is None:
         raise ValueError("run was executed without trajectory recording")
     agent_ids = [a.agent_id for a in result.agents]
-    trajectories = result.trajectories
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
-        for k in range(len(trajectories[0])):
+        for step in zip(*map(track_rows, result.tracks)):
             # one write per time step: as fast as one write per file, while
             # memory does not grow with the run length
-            fh.write("".join([_CSV_ROW % ((rows[k][0], aid) + rows[k][1:])
-                              for aid, rows in zip(agent_ids, trajectories)]))
+            fh.write("".join([_CSV_ROW % ((row[0], aid) + row[1:])
+                              for aid, row in zip(agent_ids, step)]))
 
 
 def read_trajectory_csv(path: str) -> Dict[int, List[tuple]]:

@@ -330,6 +330,11 @@ class TestEncounterClassification:
         obs = static_view((10.0, -10.0))
         assert classify_encounter(own, obs) == ENCOUNTER_ACTIVE
 
+    def test_stationary_target_on_port_bow_is_active(self):
+        # a target with no course cannot be the give-way ship of a crossing
+        obs = dynamic_view((5.0, -3.0), (0.0, 0.0))
+        assert classify_encounter(own_state(), obs) == ENCOUNTER_ACTIVE
+
 
 class TestBoundarySources:
     def channel(self, width=10.0, Lambda=10.0, activation=2.0):

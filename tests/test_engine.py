@@ -9,6 +9,7 @@ import pytest
 import asvsim
 from asvsim import scenarios
 from asvsim.apf import (
+    FieldSingularity,
     HarmonicParams,
     ObstacleView,
     OwnShip,
@@ -20,6 +21,7 @@ from asvsim.engine import (
     AgentSpec,
     MODE_ILOS,
     MODE_REACTIVE,
+    ROW_LEN,
     Scenario,
     SimConfig,
     SimulationError,
@@ -123,7 +125,7 @@ class TestLargeStep:
         with pytest.raises(SimulationError, match="surge runaway"):
             while world.step():
                 pass
-        deltas = [row[7] for ag in world.agents for row in ag.rows]
+        deltas = [d for ag in world.agents for d in ag.rows[7::ROW_LEN]]
         deltas += [ag.delta for ag in world.agents]
         assert side * model.limits.delta_max in deltas
         assert max(abs(d) for d in deltas) == model.limits.delta_max
@@ -308,6 +310,55 @@ class TestOutcomes:
         res = run(sc, model=model, record=False)
         assert res.end_reason == "collision"
         assert res.agents[0].outcome == "collision"
+
+
+def _coincident_third_parties(method):
+    # agents 1 and 2 start on the same spot, inside each other's detection
+    # radius, while the own ship sails clear
+    own = AgentSpec(id=0, start=(0.0, 0.0), heading=0.0, speed=1.0,
+                    waypoints=((60.0, 0.0),), method=method)
+    twins = [AgentSpec(id=i, start=(0.0, 40.0), heading=0.0, speed=1.0,
+                       waypoints=((60.0, 40.0),), method=method) for i in (1, 2)]
+    return Scenario(agents=[own, *twins], config=SimConfig(termination="own"))
+
+
+class TestEncounterClassification:
+    def test_law_without_classes_never_classifies(self, model):
+        # VO reads no encounter class, so coincident targets are never
+        # classified (which would raise at the undefined bearing)
+        res = run(_coincident_third_parties("velocity_obstacle"), model=model, record=False)
+        assert res.end_reason == "own_done"
+        assert res.outcomes == ["success", "collision", "collision"]
+
+    @pytest.mark.parametrize("method, message", [
+        ("apf_mvortex", "coincident vessel and obstacle positions"),
+        ("apf_sinkvortex", "vortex evaluated at its center"),
+        ("apf_inverse", "vessel inside obstacle disc"),
+    ])
+    def test_field_laws_keep_their_own_singularity(self, model, method, message):
+        with pytest.raises(FieldSingularity, match=message):
+            run(_coincident_third_parties(method), model=model, record=False)
+
+
+class TestRecording:
+    def test_tracks_hold_every_step_once(self, model):
+        world = World(scenarios.head_on(), model=model)
+        while world.step():
+            pass
+        first, second = world.result(), world.result()
+        assert first == second
+        assert [len(t) for t in first.tracks] == [(first.n_steps + 1) * ROW_LEN] * 2
+        assert len(first.trajectories[0]) == first.n_steps + 1
+
+    def test_recorded_rows_stay_compact(self, model):
+        res = run(scenarios.three_ship(), model=model, record=True)
+        rows = (res.n_steps + 1) * len(res.agents)
+        assert sum(sys.getsizeof(t) for t in res.tracks) <= 110 * rows
+
+    def test_unrecorded_run_has_no_rows(self, model):
+        res = run(scenarios.head_on(), model=model, record=False)
+        assert res.tracks is None
+        assert res.trajectories is None
 
 
 class TestScenarioValidation:

@@ -490,6 +490,16 @@ class TestPlots:
         assert text.count('class="waypoint"') == 4
         assert text.startswith("<svg")
 
+    def test_path_plot_without_scenario(self, square_outputs):
+        out, _ = square_outputs
+        svg = out / "path_only.svg"
+        code = main(["plot", "--traj", str(out / "trajectory.csv"),
+                     "--kind", "path", "--out", str(svg)])
+        assert code == 0
+        text = svg.read_text()
+        assert 'class="trajectory-0"' in text
+        assert 'class="waypoint' not in text
+
     def test_series_plots_render(self, square_outputs):
         out, _ = square_outputs
         for kind in ("rudder", "heading", "crosstrack"):
