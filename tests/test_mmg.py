@@ -149,6 +149,18 @@ class TestPropeller:
         thrusts = [propeller_force(1.0, n, model.coeffs) for n in ns]
         assert all(b >= a - 1e-12 for a, b in zip(thrusts, thrusts[1:]))
 
+    @pytest.mark.parametrize("target, rpm_hex", [
+        (1e-3, "0x1.cdad3f9db22d2p-10"),
+        (0.1, "0x1.68af72b604188p-3"),
+        (0.5, "0x1.c2db4f3991688p-1"),
+        (0.75, "0x1.52247b7fe978dp+0"),
+        (1.0, "0x1.c2db4f3bf1a9ep+0"),
+        (1.2, "0x1.0e8395f6f22d1p+1"),
+    ])
+    def test_self_propulsion_pinned(self, model, target, rpm_hex):
+        # every digest starts from this trim; it must not move by one ulp
+        assert self_propulsion_rpm(target, model.coeffs) == float.fromhex(rpm_hex)
+
     def test_lower_speed_needs_fewer_revolutions(self, model):
         assert self_propulsion_rpm(0.5, model.coeffs) < self_propulsion_rpm(1.0, model.coeffs)
 
@@ -333,10 +345,13 @@ class TestCoefficientFile:
         ("ship", "rho_w", -1.0, "ship parameter rho_w must be > 0"),
         ("hull", "R_0", math.inf, "coefficient R_0 is not finite"),
         ("rudder", "eta", math.nan, "coefficient eta is not finite"),
+        ("ship", "L", math.inf, r"\bL\b.*finite"),
+        ("ship", "U_des", math.nan, r"\bU_des\b.*finite"),
         (None, "schema_version", "", "coefficient table missing schema_version"),
         ("hull", "X_uu", 0.0, "malformed coefficient file"),
         ("propeller", "k_2", _MISSING, "malformed coefficient file"),
     ], ids=["ship.L=0", "ship.rho_w=-1", "hull.R_0=inf", "rudder.eta=nan",
+            "ship.L=inf", "ship.U_des=nan",
             "schema_version=empty", "hull.unknown_key", "propeller.missing_key"])
     def test_bad_file_rejected(self, model, block, key, value, message):
         doc = copy.deepcopy(model.doc)
