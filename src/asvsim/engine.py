@@ -222,7 +222,7 @@ class _AgentRuntime:
 
     def __init__(self, spec: AgentSpec, model: ShipModel):
         self.spec = spec
-        self.deriv = model.make_derivative(self_propulsion_rpm(spec.speed, model.coeffs))
+        self.deriv = model.make_derivative(self_propulsion_rpm(spec.speed, model))
         self.x, self.y = spec.start
         self.psi = wrap_angle(spec.heading)
         self.u = spec.speed

@@ -9,9 +9,9 @@ propeller revolution rate n is kept dimensional (rev/s) because the advance
 ratio is formed from dimensional quantities.
 
 The force model and the equations of motion are written once, in the
-closure that ``ShipModel.make_derivative`` returns.  ``propeller_force``
-serves only the self-propulsion search, which balances it against the
-straight-run hull resistance.
+closure that ``ShipModel.make_derivative`` returns.  The self-propulsion
+trim shares its propeller factors (``_thrust_factors``) and balances the
+same thrust against the straight-run hull resistance.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ class CoefficientError(ValueError):
 class ShipParams(NamedTuple):
     """Principal particulars of the vessel (dimensional).
 
-    Built by ``_coeffs_from_dict``, which rejects a non-positive L, B,
-    d_em, U_des or rho_w.
+    Built by ``_coeffs_from_dict``, which rejects a non-positive or
+    non-finite L, B, d_em, U_des or rho_w.
     """
 
     L: float
@@ -64,24 +64,20 @@ class MassParams:
             raise CoefficientError("sway-yaw mass matrix is singular")
 
     def sway_yaw_det(self) -> float:
-        return (self.m + self.m_y) * (self.I_zz + self.J_zz) - (self.m * self.x_G) ** 2
+        b = self.m * self.x_G  # the off-diagonal of [[m + m_y, b], [b, I_zz + J_zz]]
+        return (self.m + self.m_y) * (self.I_zz + self.J_zz) - b * b
 
 
 class HydroCoeffs(NamedTuple):
     """Flat, named coefficient table for hull, propeller and rudder forces.
 
-    Self-contained: also carries the geometry and normalization context
-    (L, d_em, U_des, rho_w, D_p, A_R) needed to evaluate the forces.
-    Built by ``_coeffs_from_dict``, which rejects a non-finite float and an
-    empty ``schema_version``.
+    Carries the propeller diameter D_p and rudder area A_R; the particulars
+    the forces are normalized by live in ``ShipParams``.  Built by
+    ``_coeffs_from_dict``, which rejects a non-finite float and an empty
+    ``schema_version``.
     """
 
     schema_version: str
-    # normalization context
-    L: float
-    d_em: float
-    U_des: float
-    rho_w: float
     # hull polynomial (instantaneous-speed normalization)
     R_0: float
     X_vv: float
@@ -144,15 +140,17 @@ _EPS_SPEED = 1e-9
 _RPM_TOL = 1e-8
 
 
-def propeller_force(u: float, n_prop: float, c: HydroCoeffs) -> float:
-    """Propeller surge force X_P from the quadratic open-water fit."""
-    if n_prop == 0.0:
-        return 0.0
-    J = (1.0 - c.w_p0) * u * c.U_des / (n_prop * c.D_p)
-    K_T = c.k_0 + c.k_1 * J + c.k_2 * J * J
-    thrust = c.rho_w * n_prop ** 2 * c.D_p ** 4 * K_T
-    norm = 0.5 * c.rho_w * c.U_des ** 2 * c.L * c.d_em
-    return (1.0 - c.t_p) * thrust / norm
+def _thrust_factors(n_prop: float, ship: ShipParams, c: HydroCoeffs) -> Tuple[float, float]:
+    """The propeller's speed-independent factors at n_prop rev/s.
+
+    Returns (thrust_norm, J_fac): the surge force is X_P = thrust_norm *
+    K_T(J) at advance ratio J = J_fac * u.  Both are 0 when n_prop <= 0.
+    """
+    if n_prop <= 0.0:
+        return 0.0, 0.0
+    thrust_norm = (1.0 - c.t_p) * ship.rho_w * n_prop ** 2 * c.D_p ** 4 / (
+        0.5 * ship.rho_w * ship.U_des ** 2 * ship.L * ship.d_em)
+    return thrust_norm, (1.0 - c.w_p0) * ship.U_des / (n_prop * c.D_p)
 
 
 def rudder_rate(delta: float, delta_c: float, limits: ActuatorLimits) -> float:
@@ -163,17 +161,22 @@ def rudder_rate(delta: float, delta_c: float, limits: ActuatorLimits) -> float:
     return math.copysign(limits.delta_rate_max, raw)
 
 
-def self_propulsion_rpm(target_u: float, c: HydroCoeffs) -> float:
+def self_propulsion_rpm(target_u: float, model: "ShipModel") -> float:
     """Revolution rate (rev/s) balancing thrust and resistance at target_u.
 
-    Bisection on the straight-run force residual X_P + X_H; raises
-    CoefficientError if no sign change is found in the search bracket.
-    ``target_u`` is an ``AgentSpec`` speed, so it lies in (0, 1.2].
+    Bisection on the derivative's straight-run surge force X_P + X_H, in
+    its operation order, so the trim is a zero of the model's own surge
+    acceleration.  The K_T line is the one ``deriv`` keeps inline on its
+    hot path.  Raises CoefficientError if no sign change is found in the
+    search bracket.  ``target_u`` is an ``AgentSpec`` speed, in (0, 1.2].
     """
+    ship, c = model.ship, model.coeffs
     X_H = (target_u * target_u) * -c.R_0  # hull resistance at v = r = 0
 
     def residual(n: float) -> float:
-        return propeller_force(target_u, n, c) + X_H
+        thrust_norm, J_fac = _thrust_factors(n, ship, c)
+        J = J_fac * target_u
+        return thrust_norm * (c.k_0 + c.k_1 * J + c.k_2 * J * J) + X_H
 
     lo, hi = 1e-3, 0.5
     while residual(hi) < 0.0:
@@ -201,15 +204,11 @@ def _coeffs_from_dict(doc: dict) -> Tuple[ShipParams, MassParams, HydroCoeffs]:
     try:
         ship = ShipParams(**doc["ship"])
         for name in ("L", "B", "d_em", "U_des", "rho_w"):
-            if getattr(ship, name) <= 0.0:
-                raise CoefficientError(f"ship parameter {name} must be > 0")
+            if not 0.0 < getattr(ship, name) < math.inf:
+                raise CoefficientError(f"ship parameter {name} must be > 0 and finite")
         mass = MassParams(x_G=doc["ship"]["x_G_nd"], **doc["mass"])
         coeffs = HydroCoeffs(
             schema_version=doc["schema_version"],
-            L=ship.L,
-            d_em=ship.d_em,
-            U_des=ship.U_des,
-            rho_w=ship.rho_w,
             **doc["hull"],
             **doc["propeller"],
             **doc["rudder"],
@@ -254,8 +253,7 @@ class ShipModel:
         to a local, since the RK4 of the simulation loop calls it four
         times per vessel-step.
         """
-        c = self.coeffs
-        mass = self.mass
+        ship, c, mass = self.ship, self.coeffs, self.mass
         R_0, X_vv, X_vr, X_rr, X_vvvv = c.R_0, c.X_vv, c.X_vr, c.X_rr, c.X_vvvv
         Y_v, Y_r, Y_vvv, Y_vvr, Y_vrr, Y_rrr = c.Y_v, c.Y_r, c.Y_vvv, c.Y_vvr, c.Y_vrr, c.Y_rrr
         N_v, N_r, N_vvv, N_vvr, N_vrr, N_rrr = c.N_v, c.N_r, c.N_vvv, c.N_vvr, c.N_vrr, c.N_rrr
@@ -263,8 +261,8 @@ class ShipModel:
         a = m + mass.m_y
         b = m * x_G
         dI = mass.I_zz + mass.J_zz
-        det = a * dI - b * b
-        A_fac = c.A_R / (c.L * c.d_em) * c.f_alpha
+        det = mass.sway_yaw_det()
+        A_fac = c.A_R / (ship.L * ship.d_em) * c.f_alpha
         t_R1 = 1.0 - c.t_R
         a_H1 = 1.0 + c.a_H
         N_lever = c.x_R_nd + c.a_H * c.x_H_nd
@@ -272,10 +270,7 @@ class ShipModel:
         w1 = 1.0 - c.w_p0
         eps_r, kappa, eta = c.epsilon, c.kappa, c.eta
         k_0, k_1, k_2 = c.k_0, c.k_1, c.k_2
-        # propeller force depends on u; precompute the u-independent parts
-        thrust_norm = (1.0 - c.t_p) * c.rho_w * n_prop ** 2 * c.D_p ** 4 / (
-            0.5 * c.rho_w * c.U_des ** 2 * c.L * c.d_em) if n_prop > 0.0 else 0.0
-        J_fac = w1 * c.U_des / (n_prop * c.D_p) if n_prop > 0.0 else 0.0
+        thrust_norm, J_fac = _thrust_factors(n_prop, ship, c)
         cos, sin, atan2, hypot, sqrt, pi = (
             math.cos, math.sin, math.atan2, math.hypot, math.sqrt, math.pi)
 

@@ -12,7 +12,6 @@ from asvsim.mmg import (
     CoefficientError,
     MassParams,
     ShipModel,
-    propeller_force,
     rudder_rate,
     self_propulsion_rpm,
 )
@@ -124,30 +123,37 @@ class TestHullForces:
 
 class TestPropeller:
     def test_zero_revolutions(self, model):
-        assert propeller_force(1.0, 0.0, model.coeffs) <= 0.0
+        # at n = 0 the propeller adds nothing: the straight-run surge force
+        # is the hull resistance alone, at every speed
+        m, R_0 = model.mass, model.coeffs.R_0
+        d = model.make_derivative(0.0)
+        for u in np.linspace(0.1, 1.2, 12):
+            assert d(0.0, 0.0, 0.0, u, 0.0, 0.0, 0.0)[3] == (u * u) * -R_0 / (m.m + m.m_x)
 
     def test_self_propulsion_residual(self, model):
-        n = self_propulsion_rpm(1.0, model.coeffs)
-        X_P = propeller_force(1.0, n, model.coeffs)
-        assert abs(X_P - model.doc["hull"]["R_0"]) < 1e-6
+        # the independent oracle's straight-run thrust balances resistance
+        n = self_propulsion_rpm(1.0, model)
+        m = model.mass
+        u_dot = oracle_derivative(model.doc, n, 0.0, 1.0, 0.0, 0.0, 0.0)[3]
+        assert abs(u_dot * (m.m + m.m_x)) < 1e-6
 
-    def test_deriv_thrust_matches_propeller_force(self, model):
-        # the self-propulsion search and the simulated dynamics use two
-        # thrust expressions; on a straight run they must agree
-        c, m = model.coeffs, model.mass
-        for u in np.linspace(0.1, 1.2, 12):
-            for n in np.linspace(0.0, 4.0, 17):
-                d = model.make_derivative(n)(0.0, 0.0, 0.0, u, 0.0, 0.0, 0.0)
-                X_P, X_H = propeller_force(u, n, c), (u * u) * -c.R_0
-                assert d[3] * (m.m + m.m_x) == pytest.approx(
-                    X_P + X_H, rel=1e-12, abs=1e-12 * (abs(X_P) + abs(X_H)))
+    @given(u=st.floats(1e-3, 1.2))
+    @settings(max_examples=100, deadline=None)
+    def test_trim_is_zero_of_surge_acceleration(self, model, u):
+        # the trim brackets a sign change of the integrated model's own
+        # straight-run surge acceleration
+        n = self_propulsion_rpm(u, model)
+        below = model.make_derivative(n - 1e-8)(0.0, 0.0, 0.0, u, 0.0, 0.0, 0.0)[3]
+        above = model.make_derivative(n + 1e-8)(0.0, 0.0, 0.0, u, 0.0, 0.0, 0.0)[3]
+        assert below < 0.0 <= above
 
     def test_monotone_in_revolutions(self, model):
-        # operating range around the self-propulsion point (J below ~1)
-        n_sp = self_propulsion_rpm(1.0, model.coeffs)
+        # operating range around the self-propulsion point (J below ~1): the
+        # hull term is fixed, so the surge acceleration follows the thrust
+        n_sp = self_propulsion_rpm(1.0, model)
         ns = np.linspace(0.7 * n_sp, 2.0 * n_sp, 60)
-        thrusts = [propeller_force(1.0, n, model.coeffs) for n in ns]
-        assert all(b >= a - 1e-12 for a, b in zip(thrusts, thrusts[1:]))
+        u_dots = [model.make_derivative(n)(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)[3] for n in ns]
+        assert all(b >= a - 1e-12 for a, b in zip(u_dots, u_dots[1:]))
 
     @pytest.mark.parametrize("target, rpm_hex", [
         (1e-3, "0x1.cdad3f9db22d2p-10"),
@@ -159,14 +165,14 @@ class TestPropeller:
     ])
     def test_self_propulsion_pinned(self, model, target, rpm_hex):
         # every digest starts from this trim; it must not move by one ulp
-        assert self_propulsion_rpm(target, model.coeffs) == float.fromhex(rpm_hex)
+        assert self_propulsion_rpm(target, model) == float.fromhex(rpm_hex)
 
     def test_lower_speed_needs_fewer_revolutions(self, model):
-        assert self_propulsion_rpm(0.5, model.coeffs) < self_propulsion_rpm(1.0, model.coeffs)
+        assert self_propulsion_rpm(0.5, model) < self_propulsion_rpm(1.0, model)
 
     @pytest.mark.parametrize("target", [1.0, 0.5])
     def test_forward_simulation_holds_speed(self, model, target):
-        n = self_propulsion_rpm(target, model.coeffs)
+        n = self_propulsion_rpm(target, model)
         rows = simulate_openloop(model, n, lambda t: 0.0, 200.0, u0=target)
         assert abs(rows[-1][4] - target) < 0.01
 
@@ -207,7 +213,7 @@ class TestTotalForcesAndDerivative:
             assert full == pytest.approx(parts, rel=1e-12, abs=1e-14)
 
     def test_steady_straight_run(self, model):
-        d = model.make_derivative(self_propulsion_rpm(1.0, model.coeffs))(
+        d = model.make_derivative(self_propulsion_rpm(1.0, model))(
             0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
         assert d[0] == pytest.approx(1.0)           # x_dot = u
         assert abs(d[1]) < 1e-12 and abs(d[2]) < 1e-12
@@ -233,7 +239,7 @@ class TestTotalForcesAndDerivative:
         # below the speed floor the hull polynomial is skipped and the
         # rudder sees no inflow: only the inertial coupling b r^2 is left
         m = model.mass
-        n = self_propulsion_rpm(1.0, model.coeffs)
+        n = self_propulsion_rpm(1.0, model)
         out = model.make_derivative(n)(0.0, 0.0, 0.0, 0.0, 0.0, 0.05, 0.1)
         assert out == (0.0, 0.0, 0.05, m.m * m.x_G * 0.05 * 0.05 / (m.m + m.m_x), 0.0, 0.0)
 
@@ -241,11 +247,12 @@ class TestTotalForcesAndDerivative:
     def test_creeping_speed_finite(self, model, u):
         # the advance ratio sits on its 1e-9 floor (without it, J * J
         # underflows to zero at 1e-200): the propeller gives about bollard
-        # thrust and the output stays finite
-        n = self_propulsion_rpm(1.0, model.coeffs)
+        # thrust, the oracle's at a creeping 1e-6 with the rudder amidships,
+        # and the output stays finite
+        n = self_propulsion_rpm(1.0, model)
         out = model.make_derivative(n)(0.0, 0.0, 0.0, u, 0.0, 0.0, 0.1)
         assert all(math.isfinite(x) for x in out)
-        bollard = propeller_force(0.0, n, model.coeffs) / (model.mass.m + model.mass.m_x)
+        bollard = oracle_derivative(model.doc, n, 0.0, 1e-6, 0.0, 0.0, 0.0)[3]
         assert out[3] == pytest.approx(bollard, rel=1e-3)
 
     def test_sway_yaw_solve_matches_matrix_inverse(self, model):
@@ -297,7 +304,7 @@ class TestRudderRate:
 
 class TestVesselBehavior:
     def test_mirror_symmetry(self, model):
-        n = self_propulsion_rpm(1.0, model.coeffs)
+        n = self_propulsion_rpm(1.0, model)
         port = simulate_openloop(model, n, lambda t: -math.radians(20.0), 100.0)
         stbd = simulate_openloop(model, n, lambda t: math.radians(20.0), 100.0)
         for (_, x1, y1, p1, u1, v1, r1), (_, x2, y2, p2, u2, v2, r2) in zip(stbd, port):
@@ -309,7 +316,7 @@ class TestVesselBehavior:
             assert abs(r1 + r2) < 1e-9
 
     def test_turning_circle(self, model):
-        n = self_propulsion_rpm(1.0, model.coeffs)
+        n = self_propulsion_rpm(1.0, model)
         rows = simulate_openloop(model, n, lambda t: DELTA_35, 400.0)
         unwrapped = 0.0
         prev = 0.0
@@ -373,7 +380,7 @@ class TestCoefficientFile:
         doc["hull"]["R_0"] = -0.01
         bad = ShipModel(doc)
         with pytest.raises(CoefficientError, match="thrust exceeds resistance"):
-            self_propulsion_rpm(1.0, bad.coeffs)
+            self_propulsion_rpm(1.0, bad)
 
     def test_self_propulsion_bracket_failure_reported(self, model):
         doc = copy.deepcopy(model.doc)
@@ -382,4 +389,4 @@ class TestCoefficientFile:
         doc["propeller"]["k_2"] = 0.0
         bad = ShipModel(doc)
         with pytest.raises(CoefficientError):
-            self_propulsion_rpm(1.0, bad.coeffs)
+            self_propulsion_rpm(1.0, bad)
