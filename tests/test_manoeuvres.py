@@ -54,11 +54,6 @@ def zigzag_overshoots(model, amp):
     return [abs(p) - amp for p in peaks[:2]]
 
 
-@pytest.fixture(scope="module")
-def l_over_u(model):
-    return model.ship.L / model.ship.U_des
-
-
 def test_turning_circle(model):
     # 35 deg rudder: advance at 90 deg of heading change, tactical
     # diameter at 180 deg
@@ -80,7 +75,8 @@ def test_initial_turning(model):
     assert distance == pytest.approx(2.59, abs=0.005)
 
 
-def test_zigzag_10(model, l_over_u):
+def test_zigzag_10(model):
+    l_over_u = model.ship.L / model.ship.U_des
     first, second = zigzag_overshoots(model, 10.0)
     assert first <= 5.0 + 0.5 * l_over_u          # 14.3 deg at L/U = 18.6 s
     assert second <= 17.5 + 0.75 * l_over_u       # 31.5 deg

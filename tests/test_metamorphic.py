@@ -18,15 +18,18 @@ from asvsim.engine import METHODS, run
 
 SCENES = ("head_on", "crossing", "three_ship", "static_avoidance")
 
-_originals = {}
 
+@pytest.fixture(scope="module")
+def original(model):
+    """The untransformed run of a scene and method, made once per module."""
+    runs = {}
 
-def original(model, scene, method):
-    """The untransformed run, made once per scene and method."""
-    key = (scene, method)
-    if key not in _originals:
-        _originals[key] = run(getattr(scenarios, scene)(method), model=model)
-    return _originals[key]
+    def get(scene, method):
+        if (scene, method) not in runs:
+            runs[scene, method] = run(getattr(scenarios, scene)(method), model=model)
+        return runs[scene, method]
+
+    return get
 
 
 def signature(result):
@@ -36,11 +39,11 @@ def signature(result):
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("scene", SCENES)
-def test_far_static_obstacle_changes_nothing(model, scene, method):
+def test_far_static_obstacle_changes_nothing(model, original, scene, method):
     # a disc at (1e4, 1e4) never comes within the detection radius
     sc = getattr(scenarios, scene)(method)
     far = StaticObstacle(center=(1e4, 1e4))
-    base = original(model, scene, method)
+    base = original(scene, method)
     out = run(replace(sc, static_obstacles=[*sc.static_obstacles, far]), model=model)
     assert signature(out) == signature(base)
     # the disc is still measured: it is the nearest one only where it is alone
@@ -54,9 +57,9 @@ def test_far_static_obstacle_changes_nothing(model, scene, method):
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("scene", SCENES)
-def test_order_keeping_relabel_changes_nothing(model, scene, method):
+def test_order_keeping_relabel_changes_nothing(model, original, scene, method):
     sc = getattr(scenarios, scene)(method)
-    base = original(model, scene, method)
+    base = original(scene, method)
     out = run(replace(sc, agents=[replace(a, id=7 * a.id + 3) for a in sc.agents]),
               model=model)
     assert [b.agent_id for b in out.agents] == [7 * a.agent_id + 3 for a in base.agents]
