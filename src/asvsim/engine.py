@@ -10,15 +10,17 @@ independent of agent ordering.  A run ends when every agent has captured
 its final waypoint, any pair breaches the collision threshold, or the time
 budget is exhausted.
 
-Each step computes every ship-ship and ship-static distance exactly once,
-in the distance observation that opens it.  That pass keeps the collision
-and metric bookkeeping and also fills the step's distance table: for each
-agent, the ascending indices of the vessels and of the static obstacles
-within the detection radius.  Sensing reads the table instead of measuring
-again; its views come out in ascending index order (vessels, then statics),
-which fixes the order in which the guidance fields are summed.  Each
-vessel's obstacle view (its position and global velocity, from one cos/sin
-of its heading) is built once per step, on first use, and dropped when
+The distance observation that opens each step measures every ship-ship
+and ship-static distance once, for the collision and metric bookkeeping,
+and fills the step's distance table: for each agent, the ascending indices
+of the vessels and of the static obstacles within the detection radius.
+Sensing reads the table instead of measuring again; its views come out in
+ascending index order (vessels, then statics), which fixes the order in
+which the guidance fields are summed.  The guidance laws measure the range
+to each in-range view again, with ``hypot`` (``apf._range_bearing``,
+``apf.inverse_square_gradient``, ``vo.collision_cone``).  Each vessel's
+obstacle view (its position and global velocity, from one cos/sin of its
+heading) is built once per step, on first use, and dropped when
 integration moves the vessel.  The guidance laws read the own-ship state
 from the per-agent runtime itself.  The active path segment's angle and its
 cos/sin are kept until the next waypoint switch.
@@ -45,7 +47,7 @@ from .guidance import (
     should_switch_waypoint,
     track_errors,
 )
-from .mmg import ShipModel, rudder_rate, self_propulsion_rpm
+from .mmg import DELTA_MAX, ShipModel, rudder_step, self_propulsion_rpm
 from .vo import VOParams
 
 METHODS = ("apf_mvortex", "apf_sinkvortex", "apf_inverse", "velocity_obstacle")
@@ -305,7 +307,6 @@ class World:
                          is_dynamic=False, radius=o.R_obs)
             for o in scenario.static_obstacles
         ]
-        self._limits = self.model.limits
         # the step's distance table, refilled by _observe_distances: per
         # agent, ascending indices of the vessels / static obstacles within
         # R_safe (the lists are reused from step to step)
@@ -380,7 +381,6 @@ class World:
         ilos = scn.ilos
         R_tol = ilos.R_tol
         gains = scn.gains
-        limits = self._limits
         views_in_range = self._views_in_range
         for idx, ag in enumerate(self.agents):
             pos = (ag.x, ag.y)
@@ -422,7 +422,7 @@ class World:
                     ag.y_int += dt * ilos_integrator_derivative(y_e, ag.y_int, ilos)
                     ag.prev_psi_d = psi_d
 
-            ag.last_delta_c = pd_rudder_command(ag.psi, psi_d, ag.r, gains, limits)
+            ag.last_delta_c = pd_rudder_command(ag.psi, psi_d, ag.r, gains)
             ag.last_psi_d = psi_d
             ag.last_mode = mode
             self._observe_row(ag, y_e)
@@ -510,27 +510,19 @@ class World:
         dt = self.cfg.dt
         half = 0.5 * dt
         sixth = dt / 6.0
-        limits = self._limits
-        cap = limits.delta_max
+        rate_max = self.model.delta_rate_max
         isfinite = math.isfinite
         for ag in self.agents:
-            raw = rudder_rate(ag.delta, ag.last_delta_c, limits)
-            delta = ag.delta + dt * raw
-            if delta > cap:
-                delta = cap
-            elif delta < -cap:
-                delta = -cap
-            ag.delta = delta
-
+            ag.delta = delta = rudder_step(ag.delta, ag.last_delta_c, rate_max, dt)
             d = ag.deriv
             x, y, psi, u, v, r = ag.x, ag.y, ag.psi, ag.u, ag.v, ag.r
-            x1, y1, p1, u1, v1, r1 = d(x, y, psi, u, v, r, delta)
-            x2, y2, p2, u2, v2, r2 = d(x + half * x1, y + half * y1, psi + half * p1,
-                                       u + half * u1, v + half * v1, r + half * r1, delta)
-            x3, y3, p3, u3, v3, r3 = d(x + half * x2, y + half * y2, psi + half * p2,
-                                       u + half * u2, v + half * v2, r + half * r2, delta)
-            x4, y4, p4, u4, v4, r4 = d(x + dt * x3, y + dt * y3, psi + dt * p3,
-                                       u + dt * u3, v + dt * v3, r + dt * r3, delta)
+            x1, y1, p1, u1, v1, r1 = d(psi, u, v, r, delta)
+            x2, y2, p2, u2, v2, r2 = d(psi + half * p1, u + half * u1, v + half * v1,
+                                       r + half * r1, delta)
+            x3, y3, p3, u3, v3, r3 = d(psi + half * p2, u + half * u2, v + half * v2,
+                                       r + half * r2, delta)
+            x4, y4, p4, u4, v4, r4 = d(psi + dt * p3, u + dt * u3, v + dt * v3,
+                                       r + dt * r3, delta)
             ag.x = x = x + sixth * (x1 + 2.0 * (x2 + x3) + x4)
             ag.y = y = y + sixth * (y1 + 2.0 * (y2 + y3) + y4)
             ag.psi = wrap_angle(psi + sixth * (p1 + 2.0 * (p2 + p3) + p4))
@@ -592,7 +584,7 @@ class World:
             agents.append(AgentResult(
                 agent_id=ag.spec.id,
                 outcome=outcome,
-                ce=ag.ce_int / (self._limits.delta_max * T),
+                ce=ag.ce_int / (DELTA_MAX * T),
                 mcte=ag.ye_int / T,
                 time_to_goal=ag.time_to_goal,
                 min_ship_distance=ag.min_ship_distance,

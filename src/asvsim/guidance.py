@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .frames import Vec2, wrap_angle
-from .mmg import ActuatorLimits
+from .mmg import DELTA_MAX
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,12 @@ def should_switch_waypoint(pos: Vec2, wp_k1: Vec2, R_tol: float) -> bool:
     return math.hypot(wp_k1[0] - pos[0], wp_k1[1] - pos[1]) <= R_tol
 
 
-def pd_rudder_command(psi: float, psi_d: float, r: float, g: PDGains,
-                      limits: ActuatorLimits) -> float:
-    """Commanded rudder from wrapped heading error; clamped at delta_max."""
-    cap = limits.delta_max
+def pd_rudder_command(psi: float, psi_d: float, r: float, g: PDGains) -> float:
+    """Commanded rudder from wrapped heading error; clamped at DELTA_MAX."""
     e = wrap_angle(psi - psi_d)
     delta_c = -g.Kp_c * e - g.Kd_c * r
-    if delta_c > cap:
-        return cap
-    if delta_c < -cap:
-        return -cap
+    if delta_c > DELTA_MAX:
+        return DELTA_MAX
+    if delta_c < -DELTA_MAX:
+        return -DELTA_MAX
     return delta_c

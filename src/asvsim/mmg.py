@@ -11,7 +11,9 @@ ratio is formed from dimensional quantities.
 The force model and the equations of motion are written once, in the
 closure that ``ShipModel.make_derivative`` returns.  The self-propulsion
 trim shares its propeller factors (``_thrust_factors``) and balances the
-same thrust against the straight-run hull resistance.
+same thrust against the straight-run hull resistance.  The rudder actuator
+is ``rudder_step``: a first-order lag of time constant ``T_DELTA``, its
+rate capped at ``ShipModel.delta_rate_max`` and its angle at ``DELTA_MAX``.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple, Tuple
 
 DELTA_MAX = math.radians(35.0)
+#: rudder time constant, in units of L/U
+T_DELTA = 1.0
 
 
 class CoefficientError(ValueError):
@@ -34,7 +37,7 @@ class ShipParams(NamedTuple):
     """Principal particulars of the vessel (dimensional).
 
     Built by ``_coeffs_from_dict``, which rejects a non-positive or
-    non-finite L, B, d_em, U_des or rho_w.
+    non-finite L, B, d_em, U_des or rho_w and a non-finite x_G_nd.
     """
 
     L: float
@@ -46,26 +49,18 @@ class ShipParams(NamedTuple):
     x_G_nd: float
 
 
-@dataclass(frozen=True)
-class MassParams:
-    """Non-dimensional mass, added mass and inertia (prime-II)."""
+class MassParams(NamedTuple):
+    """Non-dimensional mass, added mass and inertia (prime-II).
+
+    Built by ``_coeffs_from_dict``, which rejects a term that is not > 0
+    and finite, and a sway-yaw matrix whose determinant is not > 0.
+    """
 
     m: float
     m_x: float
     m_y: float
     I_zz: float
     J_zz: float
-    x_G: float
-
-    def __post_init__(self):
-        if min(self.m, self.m_x, self.m_y, self.I_zz, self.J_zz) <= 0.0:
-            raise CoefficientError("mass parameters must be > 0")
-        if self.sway_yaw_det() <= 0.0:
-            raise CoefficientError("sway-yaw mass matrix is singular")
-
-    def sway_yaw_det(self) -> float:
-        b = self.m * self.x_G  # the off-diagonal of [[m + m_y, b], [b, I_zz + J_zz]]
-        return (self.m + self.m_y) * (self.I_zz + self.J_zz) - b * b
 
 
 class HydroCoeffs(NamedTuple):
@@ -117,24 +112,6 @@ class HydroCoeffs(NamedTuple):
     x_R_nd: float
 
 
-@dataclass(frozen=True)
-class ActuatorLimits:
-    """Rudder saturation (35 deg), rate cap and first-order time constant.
-
-    The rate cap is non-dimensional: 5 deg/s at full scale corresponds to
-    radians(5) * L / U_des per unit t', which ``ShipModel`` derives from
-    the ship's particulars.
-    """
-
-    delta_rate_max: float
-    delta_max: float = DELTA_MAX
-    T_delta: float = 1.0
-
-    def __post_init__(self):
-        if min(self.delta_max, self.delta_rate_max, self.T_delta) <= 0.0:
-            raise CoefficientError("actuator limits must be > 0")
-
-
 _EPS_SPEED = 1e-9
 #: bracket width (rev/s) at which the self-propulsion bisection stops
 _RPM_TOL = 1e-8
@@ -153,12 +130,30 @@ def _thrust_factors(n_prop: float, ship: ShipParams, c: HydroCoeffs) -> Tuple[fl
     return thrust_norm, (1.0 - c.w_p0) * ship.U_des / (n_prop * c.D_p)
 
 
-def rudder_rate(delta: float, delta_c: float, limits: ActuatorLimits) -> float:
-    """Rudder slew rate: first-order response saturated at delta_rate_max."""
-    raw = (delta_c - delta) / limits.T_delta
-    if abs(raw) <= limits.delta_rate_max:
-        return raw
-    return math.copysign(limits.delta_rate_max, raw)
+def _sway_yaw(mass: MassParams, x_G: float) -> Tuple[float, float, float, float]:
+    """The sway-yaw mass matrix [[a, b], [b, dI]] and its determinant."""
+    a = mass.m + mass.m_y
+    b = mass.m * x_G
+    dI = mass.I_zz + mass.J_zz
+    return a, b, dI, a * dI - b * b
+
+
+def rudder_step(delta: float, delta_c: float, rate_max: float, dt: float) -> float:
+    """The rudder angle dt after delta under command delta_c.
+
+    One explicit step of the first-order response, its rate saturated at
+    rate_max, then the angle clamped at DELTA_MAX (a step dt > T_DELTA
+    overshoots the command).
+    """
+    raw = (delta_c - delta) / T_DELTA
+    if not abs(raw) <= rate_max:
+        raw = math.copysign(rate_max, raw)
+    delta = delta + dt * raw
+    if delta > DELTA_MAX:
+        return DELTA_MAX
+    if delta < -DELTA_MAX:
+        return -DELTA_MAX
+    return delta
 
 
 def self_propulsion_rpm(target_u: float, model: "ShipModel") -> float:
@@ -199,14 +194,21 @@ def self_propulsion_rpm(target_u: float, model: "ShipModel") -> float:
 
 
 def _coeffs_from_dict(doc: dict) -> Tuple[ShipParams, MassParams, HydroCoeffs]:
-    """The one constructor of ``ShipParams`` and ``HydroCoeffs``, and the
-    place their file checks live."""
+    """The one constructor of ``ShipParams``, ``MassParams`` and
+    ``HydroCoeffs``, and the place their file checks live."""
     try:
         ship = ShipParams(**doc["ship"])
         for name in ("L", "B", "d_em", "U_des", "rho_w"):
             if not 0.0 < getattr(ship, name) < math.inf:
                 raise CoefficientError(f"ship parameter {name} must be > 0 and finite")
-        mass = MassParams(x_G=doc["ship"]["x_G_nd"], **doc["mass"])
+        if not math.isfinite(ship.x_G_nd):
+            raise CoefficientError("ship parameter x_G_nd is not finite")
+        mass = MassParams(**doc["mass"])
+        for name, v in zip(MassParams._fields, mass):
+            if not 0.0 < v < math.inf:
+                raise CoefficientError(f"mass parameter {name} must be > 0 and finite")
+        if not _sway_yaw(mass, ship.x_G_nd)[3] > 0.0:
+            raise CoefficientError("sway-yaw mass matrix is singular")
         coeffs = HydroCoeffs(
             schema_version=doc["schema_version"],
             **doc["hull"],
@@ -227,13 +229,14 @@ class ShipModel:
     """Immutable bundle of ship particulars, masses and hydrodynamic coefficients.
 
     Loaded once from a coefficient JSON file and shared across agents/threads.
+    ``delta_rate_max`` is the rudder rate cap: 5 deg/s at full scale, which
+    is radians(5) * L / U_des per unit t'.
     """
 
     def __init__(self, doc: dict):
         self.doc = doc
         self.ship, self.mass, self.coeffs = _coeffs_from_dict(doc)
-        self.limits = ActuatorLimits(
-            delta_rate_max=math.radians(5.0) * self.ship.L / self.ship.U_des)
+        self.delta_rate_max = math.radians(5.0) * self.ship.L / self.ship.U_des
 
     @classmethod
     @functools.lru_cache(maxsize=None)
@@ -243,7 +246,8 @@ class ShipModel:
         return cls(json.loads(text))
 
     def make_derivative(self, n_prop: float):
-        """The vessel dynamics: closure d(x, y, psi, u, v, r, delta) -> 6 derivatives.
+        """The vessel dynamics: closure d(psi, u, v, r, delta) -> the 6
+        derivatives of (x, y, psi, u, v, r), which read no position.
 
         This is the one force model: hull polynomial, propeller thrust and
         rudder normal force summed per the MMG decomposition; surge uses the
@@ -257,11 +261,8 @@ class ShipModel:
         R_0, X_vv, X_vr, X_rr, X_vvvv = c.R_0, c.X_vv, c.X_vr, c.X_rr, c.X_vvvv
         Y_v, Y_r, Y_vvv, Y_vvr, Y_vrr, Y_rrr = c.Y_v, c.Y_r, c.Y_vvv, c.Y_vvr, c.Y_vrr, c.Y_rrr
         N_v, N_r, N_vvv, N_vvr, N_vrr, N_rrr = c.N_v, c.N_r, c.N_vvv, c.N_vvr, c.N_vrr, c.N_rrr
-        m, m_x, x_G = mass.m, mass.m_x, mass.x_G
-        a = m + mass.m_y
-        b = m * x_G
-        dI = mass.I_zz + mass.J_zz
-        det = mass.sway_yaw_det()
+        m, m_x = mass.m, mass.m_x
+        a, b, dI, det = _sway_yaw(mass, ship.x_G_nd)
         A_fac = c.A_R / (ship.L * ship.d_em) * c.f_alpha
         t_R1 = 1.0 - c.t_R
         a_H1 = 1.0 + c.a_H
@@ -274,7 +275,7 @@ class ShipModel:
         cos, sin, atan2, hypot, sqrt, pi = (
             math.cos, math.sin, math.atan2, math.hypot, math.sqrt, math.pi)
 
-        def deriv(x, y, psi, u, v, r, delta):
+        def deriv(psi, u, v, r, delta):
             Ut = hypot(u, v)
             if Ut < _EPS_SPEED:
                 X_H = Y_H = N_H = 0.0

@@ -30,6 +30,7 @@ from asvsim.engine import (
 )
 from asvsim.frames import wrap_angle
 from asvsim.guidance import ILOSParams
+from asvsim.mmg import DELTA_MAX
 
 DELTA_35 = math.radians(35.0)
 
@@ -127,8 +128,8 @@ class TestLargeStep:
                 pass
         deltas = [d for ag in world.agents for d in ag.rows[7::ROW_LEN]]
         deltas += [ag.delta for ag in world.agents]
-        assert side * model.limits.delta_max in deltas
-        assert max(abs(d) for d in deltas) == model.limits.delta_max
+        assert side * DELTA_MAX in deltas
+        assert max(abs(d) for d in deltas) == DELTA_MAX
 
 
 class TestDeterminismAndInvariance:

@@ -14,7 +14,7 @@ from asvsim.frames import wrap_angle
 
 def kinematics(model, psi, u, v, r=0.0):
     """(x_dot, y_dot, psi_dot) of the vessel derivative."""
-    return model.make_derivative(1.7)(0.0, 0.0, psi, u, v, r, 0.0)[:3]
+    return model.make_derivative(1.7)(psi, u, v, r, 0.0)[:3]
 
 
 def rotation(model, psi):
@@ -121,7 +121,7 @@ class TestRK4:
 
     def _oscillator_error(self, model, dt, t_end=10.0):
         # harmonic oscillator in (u, v); |u| <= 1 keeps the runaway cap quiet
-        world = self._world(model, lambda x, y, psi, u, v, r, delta:
+        world = self._world(model, lambda psi, u, v, r, delta:
                             (0.0, 0.0, 0.0, v, -u, 0.0), dt=dt)
         for _ in range(int(round(t_end / dt))):
             world._integrate()

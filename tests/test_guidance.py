@@ -90,23 +90,21 @@ class TestWaypointSwitch:
 
 
 class TestPDCommand:
-    def test_no_error(self, model):
-        assert pd_rudder_command(0.0, 0.0, 0.0, PDGains(), model.limits) == 0.0
+    def test_no_error(self):
+        assert pd_rudder_command(0.0, 0.0, 0.0, PDGains()) == 0.0
 
-    def test_hand_value(self, model):
-        out = pd_rudder_command(0.1, 0.0, 0.0, PDGains(Kp_c=3.5, Kd_c=4.0),
-                                model.limits)
+    def test_hand_value(self):
+        out = pd_rudder_command(0.1, 0.0, 0.0, PDGains(Kp_c=3.5, Kd_c=4.0))
         assert out == pytest.approx(-0.35)
 
-    def test_clamped(self, model):
-        out = pd_rudder_command(-math.pi / 2, 0.0, 0.0, PDGains(), model.limits)
+    def test_clamped(self):
+        out = pd_rudder_command(-math.pi / 2, 0.0, 0.0, PDGains())
         assert out == DELTA_35
 
-    def test_error_wraps(self, model):
+    def test_error_wraps(self):
         # psi = 179 deg, psi_d = -179 deg: error is -2 deg, never +358
         psi, psi_d = math.radians(179.0), math.radians(-179.0)
-        out = pd_rudder_command(psi, psi_d, 0.0, PDGains(Kp_c=3.5, Kd_c=4.0),
-                                model.limits)
+        out = pd_rudder_command(psi, psi_d, 0.0, PDGains(Kp_c=3.5, Kd_c=4.0))
         assert out == pytest.approx(-3.5 * math.radians(-2.0))
 
     def test_wrap_on_random_pairs(self):

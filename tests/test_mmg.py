@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from asvsim.engine import AgentSpec, Scenario, SimConfig, World
 from asvsim.frames import wrap_angle
 from asvsim.mmg import (
-    ActuatorLimits,
+    DELTA_MAX,
+    T_DELTA,
     CoefficientError,
-    MassParams,
     ShipModel,
-    rudder_rate,
+    rudder_step,
     self_propulsion_rpm,
 )
 
@@ -74,11 +74,11 @@ def oracle_derivative(doc, n, psi, u, v, r, delta):
 
 def body_forces(model, n, u, v, r, delta):
     """(X, Y, N) recovered from the derivative by undoing the inertia terms."""
-    m = model.mass
-    d = model.make_derivative(n)(0.0, 0.0, 0.0, u, v, r, delta)
-    X = d[3] * (m.m + m.m_x) - m.m * v * r - m.m * m.x_G * r * r
-    Y = (m.m + m.m_y) * d[4] + m.m * m.x_G * d[5] + m.m * u * r
-    N = m.m * m.x_G * d[4] + (m.I_zz + m.J_zz) * d[5] + m.m * m.x_G * u * r
+    m, x_G = model.mass, model.ship.x_G_nd
+    d = model.make_derivative(n)(0.0, u, v, r, delta)
+    X = d[3] * (m.m + m.m_x) - m.m * v * r - m.m * x_G * r * r
+    Y = (m.m + m.m_y) * d[4] + m.m * x_G * d[5] + m.m * u * r
+    N = m.m * x_G * d[4] + (m.I_zz + m.J_zz) * d[5] + m.m * x_G * u * r
     return np.array([X, Y, N])
 
 
@@ -98,25 +98,24 @@ class TestHullForces:
         # no propeller: at v = r = 0 the rudder sees no inflow, so only the
         # hull acts, with resistance opposing u > 0 and no side force
         m = model.mass
-        d = model.make_derivative(0.0)(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+        d = model.make_derivative(0.0)(0.0, 1.0, 0.0, 0.0, 0.0)
         assert d[4] == 0.0 and d[5] == 0.0
         assert d[3] * (m.m + m.m_x) == pytest.approx(-model.coeffs.R_0, rel=1e-15)
 
     @given(u=st.floats(0.2, 1.2), v=st.floats(-0.5, 0.5), r=st.floats(-0.5, 0.5),
-           delta=st.floats(-DELTA_35, DELTA_35), psi=st.floats(-math.pi, math.pi),
-           y=st.floats(-50.0, 50.0))
+           delta=st.floats(-DELTA_35, DELTA_35), psi=st.floats(-math.pi, math.pi))
     @settings(max_examples=100, deadline=None)
-    def test_odd_symmetry(self, model, u, v, r, delta, psi, y):
+    def test_odd_symmetry(self, model, u, v, r, delta, psi):
         # mirror about the x-axis: the hull forces are odd in (v, r) and
         # the rudder force is odd in delta, so the derivative mirrors exactly
         d = model.make_derivative(1.7)
-        a = d(3.0, y, psi, u, v, r, delta)
-        b = d(3.0, -y, -psi, u, -v, -r, -delta)
+        a = d(psi, u, v, r, delta)
+        b = d(-psi, u, -v, -r, -delta)
         assert b == (a[0], -a[1], -a[2], a[3], -a[4], -a[5])
 
     def test_matches_independent_polynomial(self, model):
         for u, v, r in [(1.0, 0.05, 0.0), (0.8, -0.1, 0.2), (1.1, 0.2, -0.3)]:
-            out = model.make_derivative(1.7)(0.0, 0.0, 0.0, u, v, r, 0.0)
+            out = model.make_derivative(1.7)(0.0, u, v, r, 0.0)
             expected = oracle_derivative(model.doc, 1.7, 0.0, u, v, r, 0.0)
             assert out == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
@@ -128,7 +127,7 @@ class TestPropeller:
         m, R_0 = model.mass, model.coeffs.R_0
         d = model.make_derivative(0.0)
         for u in np.linspace(0.1, 1.2, 12):
-            assert d(0.0, 0.0, 0.0, u, 0.0, 0.0, 0.0)[3] == (u * u) * -R_0 / (m.m + m.m_x)
+            assert d(0.0, u, 0.0, 0.0, 0.0)[3] == (u * u) * -R_0 / (m.m + m.m_x)
 
     def test_self_propulsion_residual(self, model):
         # the independent oracle's straight-run thrust balances resistance
@@ -143,8 +142,8 @@ class TestPropeller:
         # the trim brackets a sign change of the integrated model's own
         # straight-run surge acceleration
         n = self_propulsion_rpm(u, model)
-        below = model.make_derivative(n - 1e-8)(0.0, 0.0, 0.0, u, 0.0, 0.0, 0.0)[3]
-        above = model.make_derivative(n + 1e-8)(0.0, 0.0, 0.0, u, 0.0, 0.0, 0.0)[3]
+        below = model.make_derivative(n - 1e-8)(0.0, u, 0.0, 0.0, 0.0)[3]
+        above = model.make_derivative(n + 1e-8)(0.0, u, 0.0, 0.0, 0.0)[3]
         assert below < 0.0 <= above
 
     def test_monotone_in_revolutions(self, model):
@@ -152,7 +151,7 @@ class TestPropeller:
         # hull term is fixed, so the surge acceleration follows the thrust
         n_sp = self_propulsion_rpm(1.0, model)
         ns = np.linspace(0.7 * n_sp, 2.0 * n_sp, 60)
-        u_dots = [model.make_derivative(n)(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)[3] for n in ns]
+        u_dots = [model.make_derivative(n)(0.0, 1.0, 0.0, 0.0, 0.0)[3] for n in ns]
         assert all(b >= a - 1e-12 for a, b in zip(u_dots, u_dots[1:]))
 
     @pytest.mark.parametrize("target, rpm_hex", [
@@ -179,19 +178,19 @@ class TestPropeller:
 
 class TestRudder:
     def test_zero_deflection(self, model):
-        d = model.make_derivative(1.7)(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+        d = model.make_derivative(1.7)(0.0, 1.0, 0.0, 0.0, 0.0)
         assert d[4] == 0.0 and d[5] == 0.0
 
     def test_matches_independent_formula(self, model):
         # the rudder normal-force model in the propeller race
         u, delta, n = 1.0, math.radians(20.0), 1.7
-        out = model.make_derivative(n)(0.0, 0.0, 0.0, u, 0.0, 0.0, delta)
+        out = model.make_derivative(n)(0.0, u, 0.0, 0.0, delta)
         expected = oracle_derivative(model.doc, n, 0.0, u, 0.0, 0.0, delta)
         assert out == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
     def test_positive_rudder_turns_starboard(self, model):
         # positive deflection must yield a positive yaw acceleration (psi increases)
-        d = model.make_derivative(1.7)(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, math.radians(10))
+        d = model.make_derivative(1.7)(0.0, 1.0, 0.0, 0.0, math.radians(10))
         assert d[5] > 0.0
 
 
@@ -214,7 +213,7 @@ class TestTotalForcesAndDerivative:
 
     def test_steady_straight_run(self, model):
         d = model.make_derivative(self_propulsion_rpm(1.0, model))(
-            0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+            0.0, 1.0, 0.0, 0.0, 0.0)
         assert d[0] == pytest.approx(1.0)           # x_dot = u
         assert abs(d[1]) < 1e-12 and abs(d[2]) < 1e-12
         assert abs(d[3]) < 1e-6                     # self-propulsion balance
@@ -230,18 +229,18 @@ class TestTotalForcesAndDerivative:
             doc["propeller"][k] = 0.0
         doc["rudder"]["f_alpha"] = 0.0
         zero = ShipModel(doc)
-        m, m_x, x_G = zero.mass.m, zero.mass.m_x, zero.mass.x_G
+        m, m_x, x_G = zero.mass.m, zero.mass.m_x, zero.ship.x_G_nd
         u, v, r = 1.0, 0.0, 0.1
-        d = zero.make_derivative(1.7)(0.0, 0.0, 0.0, u, v, r, 0.0)
+        d = zero.make_derivative(1.7)(0.0, u, v, r, 0.0)
         assert d[3] == pytest.approx((m * v * r + m * x_G * r ** 2) / (m + m_x), rel=1e-12)
 
     def test_at_rest_no_hull_force(self, model):
         # below the speed floor the hull polynomial is skipped and the
         # rudder sees no inflow: only the inertial coupling b r^2 is left
-        m = model.mass
+        m, x_G = model.mass, model.ship.x_G_nd
         n = self_propulsion_rpm(1.0, model)
-        out = model.make_derivative(n)(0.0, 0.0, 0.0, 0.0, 0.0, 0.05, 0.1)
-        assert out == (0.0, 0.0, 0.05, m.m * m.x_G * 0.05 * 0.05 / (m.m + m.m_x), 0.0, 0.0)
+        out = model.make_derivative(n)(0.0, 0.0, 0.0, 0.05, 0.1)
+        assert out == (0.0, 0.0, 0.05, m.m * x_G * 0.05 * 0.05 / (m.m + m.m_x), 0.0, 0.0)
 
     @pytest.mark.parametrize("u", [1e-12, 1e-200])
     def test_creeping_speed_finite(self, model, u):
@@ -250,7 +249,7 @@ class TestTotalForcesAndDerivative:
         # thrust, the oracle's at a creeping 1e-6 with the rudder amidships,
         # and the output stays finite
         n = self_propulsion_rpm(1.0, model)
-        out = model.make_derivative(n)(0.0, 0.0, 0.0, u, 0.0, 0.0, 0.1)
+        out = model.make_derivative(n)(0.0, u, 0.0, 0.0, 0.1)
         assert all(math.isfinite(x) for x in out)
         bollard = oracle_derivative(model.doc, n, 0.0, 1e-6, 0.0, 0.0, 0.0)[3]
         assert out[3] == pytest.approx(bollard, rel=1e-3)
@@ -261,17 +260,16 @@ class TestTotalForcesAndDerivative:
         for _ in range(100):
             u, v, r = rng.uniform(0.3, 1.2), rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)
             delta, psi = rng.uniform(-DELTA_35, DELTA_35), rng.uniform(-math.pi, math.pi)
-            out = d(0.0, 0.0, psi, u, v, r, delta)
+            out = d(psi, u, v, r, delta)
             expected = oracle_derivative(model.doc, 1.7, psi, u, v, r, delta)
             assert out == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
-    def test_translation_invariance_and_heading_equivariance(self, model):
+    def test_heading_equivariance(self, model):
         d = model.make_derivative(1.7)
         u, v, r, delta = 1.0, 0.1, -0.05, math.radians(7.0)
-        base = d(0.0, 0.0, 0.0, u, v, r, delta)
-        assert d(55.0, -3.0, 0.0, u, v, r, delta) == base
+        base = d(0.0, u, v, r, delta)
         psi = 0.9
-        rot = d(0.0, 0.0, psi, u, v, r, delta)
+        rot = d(psi, u, v, r, delta)
         c, s = math.cos(psi), math.sin(psi)
         assert rot[0] == pytest.approx(c * base[0] - s * base[1], abs=1e-14)
         assert rot[1] == pytest.approx(s * base[0] + c * base[1], abs=1e-14)
@@ -280,26 +278,21 @@ class TestTotalForcesAndDerivative:
 
 class TestRudderRate:
     def test_equilibrium(self, model):
-        assert rudder_rate(0.1, 0.1, model.limits) == 0.0
+        assert rudder_step(0.1, 0.1, model.delta_rate_max, 1.0) == 0.1
 
     def test_saturation_branch(self):
-        limits = ActuatorLimits(delta_rate_max=0.3, T_delta=1.0)
-        assert rudder_rate(0.0, DELTA_35, limits) == 0.3
-        assert rudder_rate(0.0, -DELTA_35, limits) == -0.3
+        assert rudder_step(0.0, DELTA_35, 0.3, 1.0) == 0.3
+        assert rudder_step(0.0, -DELTA_35, 0.3, 1.0) == -0.3
 
     def test_linear_branch(self, model):
-        out = rudder_rate(0.0, 0.1, model.limits)
-        assert out == pytest.approx(0.1 / model.limits.T_delta, rel=1e-15)
-
-    def test_nonpositive_rate_rejected(self):
-        with pytest.raises(CoefficientError, match="actuator limits must be > 0"):
-            ActuatorLimits(delta_rate_max=0.0)
+        out = rudder_step(0.0, 0.1, model.delta_rate_max, 1.0)
+        assert out == pytest.approx(0.1 / T_DELTA, rel=1e-15)
 
     def test_default_limits(self, model):
-        assert model.limits.delta_max == pytest.approx(math.radians(35.0))
+        assert DELTA_MAX == pytest.approx(math.radians(35.0))
         expected_rate = math.radians(5.0) * model.ship.L / model.ship.U_des
-        assert model.limits.delta_rate_max == pytest.approx(expected_rate)
-        assert model.limits.T_delta == 1.0
+        assert model.delta_rate_max == pytest.approx(expected_rate)
+        assert T_DELTA == 1.0
 
 
 class TestVesselBehavior:
@@ -354,11 +347,15 @@ class TestCoefficientFile:
         ("rudder", "eta", math.nan, "coefficient eta is not finite"),
         ("ship", "L", math.inf, r"\bL\b.*finite"),
         ("ship", "U_des", math.nan, r"\bU_des\b.*finite"),
+        ("ship", "x_G_nd", math.nan, r"\bx_G_nd\b.*finite"),
+        ("mass", "m_y", math.nan, r"\bm_y\b.*finite"),
+        ("mass", "J_zz", math.inf, r"\bJ_zz\b.*finite"),
         (None, "schema_version", "", "coefficient table missing schema_version"),
         ("hull", "X_uu", 0.0, "malformed coefficient file"),
         ("propeller", "k_2", _MISSING, "malformed coefficient file"),
     ], ids=["ship.L=0", "ship.rho_w=-1", "hull.R_0=inf", "rudder.eta=nan",
-            "ship.L=inf", "ship.U_des=nan",
+            "ship.L=inf", "ship.U_des=nan", "ship.x_G_nd=nan",
+            "mass.m_y=nan", "mass.J_zz=inf",
             "schema_version=empty", "hull.unknown_key", "propeller.missing_key"])
     def test_bad_file_rejected(self, model, block, key, value, message):
         doc = copy.deepcopy(model.doc)
@@ -370,9 +367,12 @@ class TestCoefficientFile:
         with pytest.raises(CoefficientError, match=message):
             ShipModel(doc)
 
-    def test_singular_sway_yaw_matrix_rejected(self):
-        with pytest.raises(CoefficientError):
-            MassParams(m=1.0, m_x=0.1, m_y=0.1, I_zz=0.001, J_zz=0.001, x_G=10.0)
+    def test_singular_sway_yaw_matrix_rejected(self, model):
+        doc = copy.deepcopy(model.doc)
+        doc["mass"] = dict(m=1.0, m_x=0.1, m_y=0.1, I_zz=0.001, J_zz=0.001)
+        doc["ship"]["x_G_nd"] = 10.0
+        with pytest.raises(CoefficientError, match="sway-yaw mass matrix is singular"):
+            ShipModel(doc)
 
     def test_negative_resistance_reported(self, model):
         # the table constructs, but thrust beats resistance at any RPM
