@@ -281,7 +281,9 @@ def classify_encounter(own: OwnShip, obs: ObstacleView) -> str:
     gamma = bearing_gamma(own, obs.position)
     if abs(gamma) > 5.0 * math.pi / 8.0:
         return ENCOUNTER_OVERTAKEN
-    if obs.is_dynamic and -5.0 * math.pi / 8.0 < gamma < -HEAD_ON_BEARING_MARGIN:
+    # gamma > -5 pi / 8 here: the test above leaves -5 pi / 8 only, which
+    # wrap_angle never returns (its results there are multiples of 2**-50)
+    if gamma < -HEAD_ON_BEARING_MARGIN:
         vx, vy = obs.velocity_global
         if math.hypot(vx, vy) > 1e-6:
             target_course = math.atan2(vy, vx)

@@ -48,12 +48,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _batch_specs(args, methods):
+    """One `BatchSpec` per method on the command's env, runs, seed and jobs."""
+    env = montecarlo.EnvSpec.by_id(args.env)
+    return [montecarlo.BatchSpec(env=env, method=m, n_runs=args.runs,
+                                 master_seed=args.seed, jobs=args.jobs)
+            for m in methods]
+
+
 def cmd_batch(args) -> int:
     try:
-        env = montecarlo.EnvSpec.by_id(args.env)
-        method = resolve_method(args.method)
-        spec = montecarlo.BatchSpec(env=env, method=method, n_runs=args.runs,
-                                    master_seed=args.seed, jobs=args.jobs)
+        [spec] = _batch_specs(args, [resolve_method(args.method)])
     except ValueError as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -61,7 +66,7 @@ def cmd_batch(args) -> int:
     agg = montecarlo.aggregate(records)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary = serialize.batch_summary_dict(args.env, method, args.runs, args.seed,
+    summary = serialize.batch_summary_dict(args.env, spec.method, args.runs, args.seed,
                                            records, agg)
     (out / "summary.json").write_text(dumps_canonical(summary), encoding="utf-8")
     (out / "timing.json").write_text(
@@ -74,14 +79,11 @@ def cmd_batch(args) -> int:
 
 def cmd_compare(args) -> int:
     try:
-        env = montecarlo.EnvSpec.by_id(args.env)
         methods = [resolve_method(m.strip()) for m in args.methods.split(",")]
         if len(set(methods)) < len(methods):
             raise ValueError(f"--methods lists a method twice: {args.methods}")
         # validate every batch before the first one runs
-        specs = [montecarlo.BatchSpec(env=env, method=m, n_runs=args.runs,
-                                      master_seed=args.seed, jobs=args.jobs)
-                 for m in methods]
+        specs = _batch_specs(args, methods)
     except ValueError as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -150,24 +152,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, help="integrator step (non-dimensional)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("batch", help="run a seeded Monte Carlo batch")
-    p.add_argument("--env", type=int, required=True, choices=sorted(montecarlo.ENVIRONMENTS))
+    # the Monte Carlo options `batch` and `compare` share
+    mc = argparse.ArgumentParser(add_help=False)
+    mc.add_argument("--env", type=int, required=True, choices=sorted(montecarlo.ENVIRONMENTS))
+    mc.add_argument("--runs", type=int, default=200)
+    mc.add_argument("--seed", type=int, default=0)
+    mc.add_argument("--jobs", type=int, default=1)
+    mc.add_argument("--out", required=True)
+
+    p = sub.add_parser("batch", parents=[mc], help="run a seeded Monte Carlo batch")
     p.add_argument("--method", required=True,
                    help="mvortex | sinkvortex | inverse | vo")
-    p.add_argument("--runs", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_batch)
 
-    p = sub.add_parser("compare", help="paired method comparison on one environment")
-    p.add_argument("--env", type=int, required=True, choices=sorted(montecarlo.ENVIRONMENTS))
+    p = sub.add_parser("compare", parents=[mc],
+                       help="paired method comparison on one environment")
     p.add_argument("--methods", default="mvortex,inverse,vo",
                    help="comma-separated method list")
-    p.add_argument("--runs", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("plot", help="render SVG diagnostics")

@@ -300,8 +300,6 @@ class World:
         self.collision_pair: Optional[Tuple[str, str]] = None
         self.guidance_ns = 0
         self.guidance_calls = 0
-        self._statics = [(o.center[0], o.center[1], o.R_obs)
-                         for o in scenario.static_obstacles]
         self._static_views = [
             ObstacleView(position=o.center, velocity_global=(0.0, 0.0),
                          is_dynamic=False, radius=o.R_obs)
@@ -328,7 +326,7 @@ class World:
         R_safe = cfg.R_safe
         threshold = cfg.collision_threshold
         hypot = math.hypot
-        statics = self._statics
+        static_views = self._static_views
         n = len(ags)
         near_ships = self._near_ships
         near_statics = self._near_statics
@@ -353,10 +351,10 @@ class World:
                         self.collision_pair = (str(ai.spec.id), str(aj.spec.id))
                     ai.collided = True
                     aj.collided = True
-            for k in range(len(statics)):
-                cx, cy, r_obs = statics[k]
+            for k, view in enumerate(static_views):
+                cx, cy = view.position
                 dist = hypot(cx - xi, cy - yi)
-                clearance = dist - r_obs
+                clearance = dist - view.radius
                 if clearance < ai.min_static_clearance:
                     ai.min_static_clearance = clearance
                 if dist <= R_safe:

@@ -51,39 +51,36 @@ class SvgCanvas:
     def ty(self, y: float) -> float:
         return self.height - MARGIN - (y - self.y0) * self.sy
 
-    def line(self, x0, y0, x1, y1, color="#000", width=1.0, cls=""):
-        c = f' class="{cls}"' if cls else ""
+    def line(self, x0, y0, x1, y1, color, width, cls):
         self.parts.append(
             f'<line x1="{self.tx(x0):.2f}" y1="{self.ty(y0):.2f}" '
             f'x2="{self.tx(x1):.2f}" y2="{self.ty(y1):.2f}" '
-            f'stroke="{color}" stroke-width="{width}"{c}/>')
+            f'stroke="{color}" stroke-width="{width}" class="{cls}"/>')
 
-    def polyline(self, pts: Sequence[Tuple[float, float]], color="#000", width=1.5, cls=""):
+    def polyline(self, pts: Sequence[Tuple[float, float]], color, cls):
         coords = " ".join(f"{self.tx(x):.2f},{self.ty(y):.2f}" for x, y in pts)
-        c = f' class="{cls}"' if cls else ""
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}"{c}/>')
+            f'stroke-width="1.5" class="{cls}"/>')
 
-    def circle(self, x, y, r_world, color="#000", fill="none", dash="", cls=""):
+    def circle(self, x, y, r_world, color, cls, fill="none", dash=""):
         d = f' stroke-dasharray="{dash}"' if dash else ""
-        c = f' class="{cls}"' if cls else ""
         self.parts.append(
             f'<circle cx="{self.tx(x):.2f}" cy="{self.ty(y):.2f}" '
-            f'r="{abs(r_world * self.sx):.2f}" stroke="{color}" fill="{fill}"{d}{c}/>')
+            f'r="{abs(r_world * self.sx):.2f}" stroke="{color}" fill="{fill}"{d} '
+            f'class="{cls}"/>')
 
-    def dot(self, x, y, r_px, color="#000", cls=""):
-        c = f' class="{cls}"' if cls else ""
+    def dot(self, x, y, r_px, color, cls):
         self.parts.append(
             f'<circle cx="{self.tx(x):.2f}" cy="{self.ty(y):.2f}" r="{r_px}" '
-            f'fill="{color}"{c}/>')
+            f'fill="{color}" class="{cls}"/>')
 
-    def text(self, x, y, s, size, color="#000"):
+    def text(self, x, y, s, size, color):
         self.parts.append(
             f'<text x="{self.tx(x):.2f}" y="{self.ty(y):.2f}" '
             f'font-size="{size}" fill="{color}" font-family="sans-serif">{s}</text>')
 
-    def arrow(self, x, y, vx, vy, scale=1.0, cls=""):
+    def arrow(self, x, y, vx, vy, scale, cls):
         """World-space arrow from (x, y) along (vx, vy) * scale."""
         x1, y1 = x + vx * scale, y + vy * scale
         self.line(x, y, x1, y1, color=ARROW_COLOR, width=1.0, cls=cls)
@@ -185,8 +182,7 @@ def _series_canvas(ts, series, ylabel, path, labels):
     for i, s in enumerate(series):
         canvas.polyline(list(zip(ts, s)), color=PALETTE[i % len(PALETTE)],
                         cls=f"series-{i}")
-        canvas.text(ts[0] + (ts[-1] - ts[0]) * 0.02,
-                    max(s) if s else 0.0, labels[i], size=10,
+        canvas.text(ts[0] + (ts[-1] - ts[0]) * 0.02, max(s), labels[i], size=10,
                     color=PALETTE[i % len(PALETTE)])
     canvas.save(path)
     return canvas

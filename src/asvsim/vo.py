@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .apf import ObstacleView
+from .apf import FieldSingularity, ObstacleView
 from .frames import Vec2
 
 
@@ -114,7 +114,7 @@ def vo_desired_heading(
     win.  Neither shortcut changes the result.
     """
     if own_speed <= 0.0:
-        raise ValueError("own speed must be > 0 for the constant-speed search")
+        raise FieldSingularity("own speed must be > 0 for the constant-speed search")
     goal_bearing = math.atan2(goal[1] - own_pos[1], goal[0] - own_pos[0])
     if not views:
         return goal_bearing

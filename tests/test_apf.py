@@ -358,6 +358,12 @@ class TestBoundarySources:
         v = boundary_source_velocity((50.0, 0.0), ch)
         assert v == pytest.approx((0.0, 0.0), abs=1e-15)
 
+    @pytest.mark.parametrize("y, inside", [(0.0, True), (5.0, True), (-5.0, True),
+                                           (8.0, False), (-8.0, False)])
+    def test_contains_between_the_walls_only(self, y, inside):
+        # past either wall a point is farther than the width from the other
+        assert self.channel(width=10.0).contains((50.0, y)) is inside
+
     def test_outside_channel_reported(self):
         ch = self.channel(width=10.0)
         with pytest.raises(FieldSingularity):
@@ -412,9 +418,9 @@ class TestDesiredHeadings:
         own_near = own_state(x=24.0)  # inside the stagnation radius
         assert abs(desired_heading_inverse_square(own_near, (50.0, 0.0), [obs], p)) == math.pi
 
-    def test_stagnation_holds_previous_heading(self):
-        p = InverseSquareParams()
-        out = desired_heading_inverse_square(own_state(x=3.0, y=4.0), (3.0, 4.0), [],
-                                             p, prev_psi_d=0.7)
-        assert out == 0.7
+    @pytest.mark.parametrize("prev_psi_d, expected", [(0.7, 0.7), (None, 0.3)])
+    def test_stagnation_holds_previous_heading(self, prev_psi_d, expected):
+        out = desired_heading_inverse_square(own_state(x=3.0, y=4.0, psi=0.3), (3.0, 4.0),
+                                             [], InverseSquareParams(), prev_psi_d=prev_psi_d)
+        assert out == expected
 

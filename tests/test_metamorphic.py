@@ -1,10 +1,10 @@
 """Exact metamorphic relations of the closed loop.
 
-Each relation transforms a canned scene's input in a way that must not
-change the run, runs the scene under every guidance method and compares
-the two runs bit for bit: every recorded track, the outcomes, the end
-reason and the CE/MCTE metrics.  Permuting the input agent list is
-checked in test_engine.py.
+Each relation transforms a scene's input in a way that must not change
+the run, runs the scene under every guidance method and compares the two
+runs bit for bit: every recorded track, the outcomes, the end reason and
+the CE/MCTE metrics.  The scenes are four canned ones and three Monte
+Carlo draws.  Permuting the input agent list is checked in test_engine.py.
 """
 
 import math
@@ -15,8 +15,18 @@ import pytest
 from asvsim import scenarios
 from asvsim.apf import StaticObstacle
 from asvsim.engine import METHODS, run
+from asvsim.montecarlo import EnvSpec, child_rng, sample_scenario
 
-SCENES = ("head_on", "crossing", "three_ship", "static_avoidance")
+#: Monte Carlo draws by (environment id, run index) under master seed 7
+DRAWN = {"env1_run0": (1, 0), "env1_run1": (1, 1), "env3_run0": (3, 0)}
+SCENES = ("head_on", "crossing", "three_ship", "static_avoidance", *DRAWN)
+
+
+def make_scene(scene, method):
+    if scene in DRAWN:
+        env_id, run_index = DRAWN[scene]
+        return sample_scenario(EnvSpec.by_id(env_id), child_rng(7, run_index), method=method)
+    return getattr(scenarios, scene)(method)
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +36,7 @@ def original(model):
 
     def get(scene, method):
         if (scene, method) not in runs:
-            runs[scene, method] = run(getattr(scenarios, scene)(method), model=model)
+            runs[scene, method] = run(make_scene(scene, method), model=model)
         return runs[scene, method]
 
     return get
@@ -41,7 +51,7 @@ def signature(result):
 @pytest.mark.parametrize("scene", SCENES)
 def test_far_static_obstacle_changes_nothing(model, original, scene, method):
     # a disc at (1e4, 1e4) never comes within the detection radius
-    sc = getattr(scenarios, scene)(method)
+    sc = make_scene(scene, method)
     far = StaticObstacle(center=(1e4, 1e4))
     base = original(scene, method)
     out = run(replace(sc, static_obstacles=[*sc.static_obstacles, far]), model=model)
@@ -58,7 +68,7 @@ def test_far_static_obstacle_changes_nothing(model, original, scene, method):
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("scene", SCENES)
 def test_order_keeping_relabel_changes_nothing(model, original, scene, method):
-    sc = getattr(scenarios, scene)(method)
+    sc = make_scene(scene, method)
     base = original(scene, method)
     out = run(replace(sc, agents=[replace(a, id=7 * a.id + 3) for a in sc.agents]),
               model=model)

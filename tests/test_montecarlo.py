@@ -239,6 +239,22 @@ class TestAggregation:
         assert agg.success_rate == 0.0
         assert (agg.mean_time_to_goal, agg.time_to_goal_ci95) == (None, None)
 
+    def test_all_errors_have_no_metric_means(self):
+        # an `error` record carries no CE or MCTE, so a batch of errors has
+        # none to average
+        recs = self._records(["error"] * 3, ce=None, mcte=None)
+        agg = aggregate(recs)
+        assert agg.n_errors == 3
+        assert all(math.isnan(v) for v in (agg.mean_ce, agg.ce_ci95,
+                                            agg.mean_mcte, agg.mcte_ci95))
+
+    def test_no_guidance_call_times_zero(self):
+        # runs that never left path following made no guidance call
+        recs = self._records(["success"] * 3)
+        for r in recs:
+            r["timing_us"] = 0.0
+        assert aggregate(recs).mean_guidance_call_us == 0.0
+
     def test_needs_two_records(self):
         with pytest.raises(ValueError):
             aggregate(self._records(["success"]))

@@ -9,7 +9,7 @@ import pytest
 
 from asvsim import scenarios
 from asvsim.cli import main
-from asvsim.engine import AgentSpec, Scenario, SimConfig, run
+from asvsim.engine import AgentSpec, Scenario, SimConfig, World, run
 from asvsim.plots import (
     FIELD_GOAL,
     FIELD_OBSTACLE,
@@ -291,6 +291,17 @@ class TestTrajectoryCSV:
 class TestResultJSON:
     def test_validates_against_shipped_schema(self, model):
         res = run(scenarios.head_on(), model=model, record=True)
+        doc = result_to_dict(res, scenarios.head_on())
+        jsonschema.Draft7Validator(schema("result.schema.json")).validate(doc)
+
+    def test_mid_run_result_reports_running(self, model):
+        # a result taken before the run has ended says so, in a value the
+        # shipped schema lists
+        world = World(scenarios.head_on(), model=model, record=False)
+        for _ in range(3):
+            assert world.step()
+        res = world.result()
+        assert (res.end_reason, res.n_steps, res.t_end) == ("running", 3, world.t)
         doc = result_to_dict(res, scenarios.head_on())
         jsonschema.Draft7Validator(schema("result.schema.json")).validate(doc)
 

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asvsim.apf import ObstacleView
+from asvsim.apf import FieldSingularity, ObstacleView
 from asvsim.vo import VOParams, collision_cone, heading_admissible, vo_desired_heading
 
 
@@ -78,7 +78,9 @@ class TestDesiredHeading:
         assert len(outs) == 1
 
     def test_requires_positive_speed(self):
-        with pytest.raises(ValueError):
+        # zero own speed is the constant-speed search's singular point; a
+        # batch records a FieldSingularity as an `error` run
+        with pytest.raises(FieldSingularity):
             vo_desired_heading((0, 0), 0.0, (10, 0), [], VOParams())
 
 
