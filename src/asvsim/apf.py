@@ -75,7 +75,6 @@ class ObstacleView:
 
     position: Vec2
     velocity_global: Vec2
-    is_dynamic: bool
     radius: float = 0.0
     encounter_class: str = ENCOUNTER_ACTIVE
 
@@ -236,25 +235,21 @@ def bearing_gamma(own: OwnShip, obs_pos: Vec2) -> float:
 def radial_tangential(own: OwnShip, obs: ObstacleView, gamma: float) -> Tuple[float, float]:
     """Radial and tangential components of the obstacle's relative velocity.
 
-    The relative velocity in the global frame is V_obs - R(psi) nu for a
-    dynamic obstacle (V_obs its global-frame velocity) and -R(psi) nu for a
-    static one.  It is expressed in the body frame (rotation by -psi) and
-    then rotated by the bearing gamma, so the components align with the
-    line of sight: v_r < 0 means the obstacle is closing, and v_theta is
-    the transversal rate (positive when the target drifts toward larger
-    bearings, i.e. starboard-abaft).  cos/sin of psi are taken once for
-    both rotations.
+    The relative velocity in the global frame is V_obs - R(psi) nu, with
+    V_obs the obstacle's global-frame velocity (zero for a static one).  It
+    is expressed in the body frame (rotation by -psi) and then rotated by
+    the bearing gamma, so the components align with the line of sight:
+    v_r < 0 means the obstacle is closing, and v_theta is the transversal
+    rate (positive when the target drifts toward larger bearings, i.e.
+    starboard-abaft).  cos/sin of psi are taken once for both rotations.
     """
     psi = own.psi
     c, s = math.cos(psi), math.sin(psi)
     u, v = own.u, own.v
     own_vx = c * u - s * v
     own_vy = s * u + c * v
-    if obs.is_dynamic:
-        rel_x = obs.velocity_global[0] - own_vx
-        rel_y = obs.velocity_global[1] - own_vy
-    else:
-        rel_x, rel_y = -own_vx, -own_vy
+    rel_x = obs.velocity_global[0] - own_vx
+    rel_y = obs.velocity_global[1] - own_vy
     bx = c * rel_x + s * rel_y
     by = -s * rel_x + c * rel_y
     cg, sg = math.cos(gamma), math.sin(gamma)

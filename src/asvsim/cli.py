@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import montecarlo, plots, serialize
-from .engine import SimConfig, run
+from .engine import OUTCOME_COLLISION, OUTCOME_TIMEOUT, SimConfig, run
 from .serialize import ScenarioError, dumps_canonical, resolve_method
 
 
@@ -41,9 +41,9 @@ def cmd_simulate(args) -> int:
         ttg = f"{a.time_to_goal:.1f}" if a.time_to_goal is not None else "-"
         print(f"agent {a.agent_id}: {a.outcome} CE={a.ce:.4f} MCTE={a.mcte:.4f} "
               f"time_to_goal={ttg} min_ship_dist={a.min_ship_distance:.2f}")
-    if "collision" in result.outcomes:
+    if OUTCOME_COLLISION in result.outcomes:
         return 2
-    if "timeout" in result.outcomes:
+    if OUTCOME_TIMEOUT in result.outcomes:
         return 3
     return 0
 

@@ -58,6 +58,9 @@ MODE_REACTIVE = 1
 OUTCOME_SUCCESS = "success"
 OUTCOME_COLLISION = "collision"
 OUTCOME_TIMEOUT = "timeout"
+#: in a result taken before the run ended: the outcome of an agent still
+#: sailing, and the end reason
+OUTCOME_RUNNING = "running"
 
 # Cap on |u| that catches integrator blow-up.
 U_CAP = 2.0
@@ -269,8 +272,7 @@ class _AgentRuntime:
         if view is None:
             c, s = math.cos(self.psi), math.sin(self.psi)
             view = self.view = ObstacleView((self.x, self.y),
-                                            (c * self.u - s * self.v, s * self.u + c * self.v),
-                                            True, 0.0)
+                                            (c * self.u - s * self.v, s * self.u + c * self.v))
         return view
 
 
@@ -301,8 +303,7 @@ class World:
         self.guidance_ns = 0
         self.guidance_calls = 0
         self._static_views = [
-            ObstacleView(position=o.center, velocity_global=(0.0, 0.0),
-                         is_dynamic=False, radius=o.R_obs)
+            ObstacleView(position=o.center, velocity_global=(0.0, 0.0), radius=o.R_obs)
             for o in scenario.static_obstacles
         ]
         # the step's distance table, refilled by _observe_distances: per
@@ -461,7 +462,7 @@ class World:
                 if cls is None:
                     cls = encounters[jdx] = apf.classify_encounter(ag, view)
                 if cls != apf.ENCOUNTER_ACTIVE:
-                    view = ObstacleView(view.position, view.velocity_global, True, 0.0, cls)
+                    view = ObstacleView(view.position, view.velocity_global, 0.0, cls)
                 views.append(view)
         static_views = self._static_views
         for k in self._near_statics[idx]:
@@ -528,8 +529,9 @@ class World:
             ag.v = v = v + sixth * (v1 + 2.0 * (v2 + v3) + v4)
             ag.r = r = r + sixth * (r1 + 2.0 * (r2 + r3) + r4)
             ag.view = None
-            if not (isfinite(x) and isfinite(y) and isfinite(u) and isfinite(v)
-                    and isfinite(r)):
+            # one branch for the five components (& evaluates each): a step
+            # that overflows leaves them all non-finite together
+            if not (isfinite(x) & isfinite(y) & isfinite(u) & isfinite(v) & isfinite(r)):
                 raise SimulationError(
                     f"non-finite state for agent {ag.spec.id} at t'={self.t:.1f}")
             if abs(u) > U_CAP:
@@ -577,6 +579,8 @@ class World:
                 outcome = OUTCOME_COLLISION
             elif ag.done:
                 outcome = OUTCOME_SUCCESS
+            elif self.end_reason is None:
+                outcome = OUTCOME_RUNNING
             else:
                 outcome = OUTCOME_TIMEOUT
             agents.append(AgentResult(
@@ -593,7 +597,7 @@ class World:
                    if self.guidance_calls else 0.0)
         return SimResult(
             t_end=self.t,
-            end_reason=self.end_reason or "running",
+            end_reason=self.end_reason or OUTCOME_RUNNING,
             collision_pair=self.collision_pair,
             agents=agents,
             n_steps=self.step_index,

@@ -273,7 +273,7 @@ def sample_field(kind: str) -> List[Tuple[float, float, float, float]]:
     arrows = []
     goal, obstacle, half, n = FIELD_GOAL, FIELD_OBSTACLE, FIELD_HALF_EXTENT, FIELD_GRID_N
     obstacles = [ObstacleView(position=obstacle, velocity_global=(0.0, 0.0),
-                              is_dynamic=False, radius=FIELD_OBSTACLE_RADIUS)]
+                              radius=FIELD_OBSTACLE_RADIUS)]
     for i in range(n):
         for j in range(n):
             x = -half + 2.0 * half * i / (n - 1)

@@ -119,7 +119,7 @@ def _params(doc: dict, attr: str, **extra):
     """The parameter dataclass of one Scenario attribute, built from the
     keys of its block that the document sets."""
     block, cls, keys = PARAMETERS[attr]
-    block_doc = doc.get(block) or {}
+    block_doc = doc.get(block, {})
     kwargs = {name: _value(block_doc[key], f"{block}.{key}", kind)
               for key, (name, kind) in keys.items() if key in block_doc}
     try:
@@ -196,16 +196,15 @@ def parse_scenario(doc: dict) -> Scenario:
         statics.append(StaticObstacle(center=center, **radius))
 
     for block, allowed in _BLOCK_KEYS.items():
-        block_doc = doc.get(block)
-        if block_doc is not None:
-            if not isinstance(block_doc, dict):
+        if block in doc:
+            if not isinstance(doc[block], dict):
                 _fail(block, "must be an object")
-            _check_keys(block_doc, allowed, block)
+            _check_keys(doc[block], allowed, block)
     params = {attr: _params(doc, attr) for attr in PARAMETERS if attr != "channel"}
 
     channel = None
-    ch_doc = doc.get("channel")
-    if ch_doc is not None:
+    if "channel" in doc:
+        ch_doc = doc["channel"]
         def _segment(v, path):
             if not isinstance(v, (list, tuple)) or len(v) != 2:
                 _fail(path, "must be a [[x, y], [x, y]] segment")
@@ -319,7 +318,7 @@ def read_trajectory_csv(path: str) -> Dict[int, List[tuple]]:
 
 def result_to_dict(result: SimResult, scenario: Scenario) -> dict:
     def clean(v):
-        return None if v is None or (isinstance(v, float) and not math.isfinite(v)) else v
+        return None if v is None or not math.isfinite(v) else v
 
     return {
         "schema_version": RESULT_SCHEMA_VERSION,

@@ -101,8 +101,7 @@ def test_criterion_02_gradient_oracle():
     while checked < 50:
         goal = tuple(rng.uniform(-30, 30, 2))
         obstacles = [ObstacleView(position=tuple(rng.uniform(-30, 30, 2)),
-                                  velocity_global=(0.0, 0.0), is_dynamic=False,
-                                  radius=0.5)
+                                  velocity_global=(0.0, 0.0), radius=0.5)
                      for _ in range(int(rng.integers(1, 4)))]
         pos = tuple(rng.uniform(-30, 30, 2))
         if any(math.hypot(pos[0] - o.position[0], pos[1] - o.position[1]) - o.radius < 1.0
@@ -201,7 +200,6 @@ def test_criterion_06_colregs_suite(model):
                 position=(a.x, a.y),
                 velocity_global=(math.cos(a.psi) * a.u - math.sin(a.psi) * a.v,
                                  math.sin(a.psi) * a.u + math.cos(a.psi) * a.v),
-                is_dynamic=True,
                 encounter_class=b.encounters.get(0, apf.ENCOUNTER_ACTIVE))
             K = apf.modified_vortex_strength(b, view, hp, world.cfg.R_safe)
             max_overtaken_K = max(max_overtaken_K, abs(K))

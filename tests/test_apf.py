@@ -38,13 +38,11 @@ def own_state(x=0.0, y=0.0, psi=0.0, u=1.0, v=0.0):
 
 
 def dynamic_view(pos, vel, encounter=ENCOUNTER_ACTIVE):
-    return ObstacleView(position=pos, velocity_global=vel, is_dynamic=True,
-                        encounter_class=encounter)
+    return ObstacleView(position=pos, velocity_global=vel, encounter_class=encounter)
 
 
 def static_view(pos, radius=0.5):
-    return ObstacleView(position=pos, velocity_global=(0.0, 0.0), is_dynamic=False,
-                        radius=radius)
+    return ObstacleView(position=pos, velocity_global=(0.0, 0.0), radius=radius)
 
 
 def potential(pos, goal, obstacles, p):

@@ -93,7 +93,7 @@ class TestStep:
         rows = run(sc, model=model, record=True).trajectories[0]
         first = next(r for r in rows if r[10] == MODE_REACTIVE)
         own = OwnShip(*first[1:6])
-        view = ObstacleView(obstacle.center, (0.0, 0.0), False, obstacle.R_obs)
+        view = ObstacleView(obstacle.center, (0.0, 0.0), obstacle.R_obs)
 
         def heading(R_safe):
             return wrap_angle(desired_heading_harmonic(
@@ -184,6 +184,7 @@ class TestCollisionDetection:
         res = world.result()
         assert res.outcomes == ["collision", "collision"]
         assert [(a.ce, a.mcte) for a in res.agents] == [(0.0, 0.0), (0.0, 0.0)]
+        assert run(self._ships_with_gap(1.99), model=model).n_steps == 0
 
     def test_exactly_at_threshold_is_safe(self, model):
         world, stepped = self._first_step(model, self._ships_with_gap(2.0))

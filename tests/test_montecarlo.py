@@ -30,9 +30,10 @@ class TestEnvironments:
 
     @pytest.mark.parametrize("build, message", [
         (lambda: EnvSpec(-1, 0), "invalid environment spec"),
+        (lambda: EnvSpec(0, -1), "invalid environment spec"),
         (lambda: BatchSpec(env=EnvSpec(1, 2), method="warp", n_runs=2, master_seed=0),
          "unknown method 'warp'"),
-    ], ids=["negative_count", "unknown_method"])
+    ], ids=["negative_count", "negative_dynamic_count", "unknown_method"])
     def test_invalid_spec_rejected(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()

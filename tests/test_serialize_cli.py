@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from asvsim import scenarios
+from asvsim.apf import StaticObstacle
 from asvsim.cli import main
 from asvsim.engine import AgentSpec, Scenario, SimConfig, World, run
 from asvsim.plots import (
@@ -96,10 +97,25 @@ BAD_DOCUMENTS = {
     "name": (dict(MINIMAL, name=3), "scenario.name: must be a string"),
     "agent_not_object": ({"agents": [3]}, "agents[0]: must be an object"),
     "agent_id": ({"agents": _agent(id="a")}, "agents[0].id: must be an integer"),
+    "agent_id_missing": ({"agents": [{"start": [0, 0], "waypoints": [[60, 0]]}]},
+                         "agents[0].id: must be an integer"),
+    "agent_id_bool": ({"agents": _agent(id=True)}, "agents[0].id: must be an integer"),
     "agent_start": ({"agents": _agent(start=[0.0])}, "agents[0].start: must be a [x, y] pair"),
+    "agent_start_missing": ({"agents": [{"id": 0, "waypoints": [[60, 0]]}]},
+                            "agents[0].start: must be a [x, y] pair"),
+    "agent_start_text": ({"agents": _agent(start=["a", 0])},
+                         "agents[0].start: must be a [x, y] pair"),
+    "agent_start_bool": ({"agents": _agent(start=[True, 0])},
+                         "agents[0].start: must be a [x, y] pair"),
+    "agent_start_nan": ({"agents": _agent(start=[0, math.nan])},
+                        "agents[0].start: must be a [x, y] pair"),
     "agent_method": ({"agents": _agent(method="warp")}, "agents[0].method: unknown method"),
     "no_waypoints": ({"agents": _agent(waypoints=[])},
                      "agents[0].waypoints: must be a non-empty list"),
+    "waypoints_not_list": ({"agents": _agent(waypoints="home")},
+                           "agents[0].waypoints: must be a non-empty list"),
+    "agents_not_list": ({"agents": MINIMAL["agents"][0]},
+                        "scenario.agents: must be a non-empty list"),
     "start_on_waypoint": ({"agents": _agent(waypoints=[[0.0, 0.0], [60.0, 0.0]])},
                           "agents[0]: consecutive waypoints must not coincide"),
     "repeated_waypoint": ({"agents": _agent(waypoints=[[60.0, 0.0], [60.0, 0.0]])},
@@ -108,11 +124,19 @@ BAD_DOCUMENTS = {
                           "static_obstacles[0]: must be an object"),
     "block_not_object": (dict(MINIMAL, sim=[]), "sim: must be an object"),
     "not_a_number": (dict(MINIMAL, sim={"dt": "fast"}), "sim.dt: must be a finite number"),
+    "bool_number": (dict(MINIMAL, sim={"dt": True}), "sim.dt: must be a finite number"),
+    "infinite_number": (dict(MINIMAL, sim={"max_time": math.inf}),
+                        "sim.max_time: must be a finite number"),
     "termination": (dict(MINIMAL, sim={"termination": "x"}),
                     "sim.termination: must be 'all' or 'own'"),
     "channel_segment": (dict(MINIMAL, channel={"boundary_a": [[0, 5]],
                                                "boundary_b": [[0, -5], [60, -5]]}),
                         "channel.boundary_a: must be a [[x, y], [x, y]] segment"),
+    "channel_no_wall": (dict(MINIMAL, channel={"boundary_b": [[0, -5], [60, -5]]}),
+                        "channel.boundary_a: must be a [[x, y], [x, y]] segment"),
+    # a null block is no block of the schema; it is not an omitted one
+    **{f"null_{block}": (dict(MINIMAL, **{block: None}), f"{block}: must be an object")
+       for block in ("guidance", "control", "apf", "vo", "sim", "channel")},
 }
 
 
@@ -174,6 +198,10 @@ class TestScenarioParsing:
         doc, message = BAD_DOCUMENTS[case]
         with pytest.raises(ScenarioError, match=f"^{re.escape(message)}"):
             parse_scenario(doc)
+
+    def test_static_obstacle_radius_defaults(self):
+        sc = parse_scenario(dict(MINIMAL, static_obstacles=[{"center": [30, 0]}]))
+        assert sc.static_obstacles == [StaticObstacle((30.0, 0.0))]
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -302,6 +330,7 @@ class TestResultJSON:
             assert world.step()
         res = world.result()
         assert (res.end_reason, res.n_steps, res.t_end) == ("running", 3, world.t)
+        assert res.outcomes == ["running", "running"]
         doc = result_to_dict(res, scenarios.head_on())
         jsonschema.Draft7Validator(schema("result.schema.json")).validate(doc)
 
@@ -380,6 +409,17 @@ class TestCLI:
                      "--out", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: surge runaway")
+        assert not (tmp_path / "result.json").exists()
+
+    def test_simulate_reports_non_finite_state(self, tmp_path, capsys):
+        # a step so long that one RK4 step overflows every state component
+        doc = scenario_to_dict(scenarios.head_on())
+        doc["sim"].update(dt=1e300, max_time=1e301)
+        scen = tmp_path / "huge_step.json"
+        scen.write_text(dumps_canonical(doc))
+        assert main(["validate", "--scenario", str(scen)]) == 0
+        assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: non-finite state for agent 0 at t'=0.0\n"
         assert not (tmp_path / "result.json").exists()
 
     def test_simulate_timeout_exit_code(self, tmp_path):
@@ -557,8 +597,9 @@ class TestPlots:
             "error: no agent pair came within the detection radius\n")
 
     def test_plot_needs_a_trajectory(self, tmp_path, capsys):
-        assert main(["plot", "--kind", "path", "--out", str(tmp_path / "p.svg")]) == 1
-        assert capsys.readouterr().err == "error: need --traj and --kind (or --field)\n"
+        for args in (["--kind", "path"], ["--traj", str(tmp_path / "t.csv")]):
+            assert main(["plot", *args, "--out", str(tmp_path / "p.svg")]) == 1
+            assert capsys.readouterr().err == "error: need --traj and --kind (or --field)\n"
 
     def test_unknown_series_kind_fails(self, square_outputs):
         out, _ = square_outputs
@@ -596,6 +637,11 @@ class TestPlots:
         out = tmp_path / "new" / "x.svg"
         assert main(["plot", "--field", "mvortex", "--out", str(out)]) == 0
         assert out.read_text().count("field-arrow") > 100
+
+    def test_field_plot_to_a_bare_file_name(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["plot", "--field", "inverse", "--out", "field.svg"]) == 0
+        assert (tmp_path / "field.svg").read_text().count("field-arrow") > 100
 
     def test_field_plot_starboard_arrows_avoid_obstacle(self, tmp_path):
         # probe on the starboard-approach side of the obstacle: the field

@@ -9,7 +9,7 @@ from asvsim.vo import VOParams, collision_cone, heading_admissible, vo_desired_h
 
 def view(pos, vel=(0.0, 0.0), radius=0.0):
     """An obstacle as the engine hands it to VO."""
-    return ObstacleView(pos, vel, True, radius)
+    return ObstacleView(pos, vel, radius)
 
 
 class TestCollisionCone:
