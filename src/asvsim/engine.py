@@ -515,13 +515,18 @@ class World:
             ag.delta = delta = rudder_step(ag.delta, ag.last_delta_c, rate_max, dt)
             d = ag.deriv
             x, y, psi, u, v, r = ag.x, ag.y, ag.psi, ag.u, ag.v, ag.r
-            x1, y1, p1, u1, v1, r1 = d(psi, u, v, r, delta)
-            x2, y2, p2, u2, v2, r2 = d(psi + half * p1, u + half * u1, v + half * v1,
-                                       r + half * r1, delta)
-            x3, y3, p3, u3, v3, r3 = d(psi + half * p2, u + half * u2, v + half * v2,
-                                       r + half * r2, delta)
-            x4, y4, p4, u4, v4, r4 = d(psi + dt * p3, u + dt * u3, v + dt * v3,
-                                       r + dt * r3, delta)
+            try:
+                x1, y1, p1, u1, v1, r1 = d(psi, u, v, r, delta)
+                x2, y2, p2, u2, v2, r2 = d(psi + half * p1, u + half * u1, v + half * v1,
+                                           r + half * r1, delta)
+                x3, y3, p3, u3, v3, r3 = d(psi + half * p2, u + half * u2, v + half * v2,
+                                           r + half * r2, delta)
+                x4, y4, p4, u4, v4, r4 = d(psi + dt * p3, u + dt * u3, v + dt * v3,
+                                           r + dt * r3, delta)
+            except ValueError:
+                # math.cos(inf): a stage's heading overflowed before the state did
+                raise SimulationError(
+                    f"non-finite state for agent {ag.spec.id} at t'={self.t:.1f}") from None
             ag.x = x = x + sixth * (x1 + 2.0 * (x2 + x3) + x4)
             ag.y = y = y + sixth * (y1 + 2.0 * (y2 + y3) + y4)
             ag.psi = wrap_angle(psi + sixth * (p1 + 2.0 * (p2 + p3) + p4))

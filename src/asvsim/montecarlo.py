@@ -13,17 +13,23 @@ parallelism degree.  The stream is a pure-Python port of numpy's
 (SeedSequence hashing, PCG64 XSL-RR 128/64, 53-bit doubles) and equals it
 bit for bit, so the simulator needs no numpy.  Wall-clock guidance timing
 is collected per run but kept out of the deterministic per-run records.
+
+The sampler takes no method.  A paired comparison samples run i's scenario
+once and simulates it under each method in turn, so every method replays
+the same scenarios by construction; with jobs > 1 one process pool maps
+the run indices.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .apf import FieldSingularity, StaticObstacle
-from .engine import METHODS, AgentSpec, Scenario, SimConfig, SimulationError, run
+from .engine import (METHODS, OUTCOME_SUCCESS, AgentSpec, Scenario, SimConfig,
+                     SimulationError, run)
 
 #: static / dynamic obstacle counts per environment id
 ENVIRONMENTS: Dict[int, Tuple[int, int]] = {
@@ -42,6 +48,9 @@ STATIC_RADIUS = 0.5
 SPEED_RANGE = (0.5, 1.0)
 
 _REJECTION_BUDGET = 10_000
+
+#: the outcome and end reason of a run that raised (see ``_run_one``)
+OUTCOME_ERROR = "error"
 
 
 class SamplingError(RuntimeError):
@@ -226,9 +235,9 @@ def _place_goal(rng: PCG64Stream, half: float, start: Tuple[float, float],
     raise SamplingError("rejection budget exhausted while placing a goal")
 
 
-def sample_scenario(env: EnvSpec, rng: PCG64Stream,
-                    method: str = "apf_mvortex") -> Scenario:
-    """Draw one random scenario.
+def sample_scenario(env: EnvSpec, rng: PCG64Stream) -> Scenario:
+    """Draw one random scenario, every vessel on the default method; set the
+    method with ``Scenario.with_method``.
 
     Draw order (fixed for reproducibility): own start, static positions,
     dynamic starts, own goal, dynamic goals, headings, speeds.
@@ -265,10 +274,10 @@ def sample_scenario(env: EnvSpec, rng: PCG64Stream,
     speeds = [rng.uniform(lo, hi) for _ in range(env.n_dynamic)]
 
     agents = [AgentSpec(id=0, start=own_start, heading=headings[0], speed=1.0,
-                        waypoints=(own_goal,), method=method)]
+                        waypoints=(own_goal,))]
     for i, (s, g) in enumerate(zip(dyn_starts, dyn_goals)):
         agents.append(AgentSpec(id=i + 1, start=s, heading=headings[i + 1],
-                                speed=speeds[i], waypoints=(g,), method=method))
+                                speed=speeds[i], waypoints=(g,)))
     # statistical-study protocol: the run is scored for the own ship, so
     # third-party collisions are recorded but do not end it
     return Scenario(agents=agents, static_obstacles=statics,
@@ -289,8 +298,9 @@ def scenario_hash(scenario: Scenario) -> str:
 # ---------------------------------------------------------------------------
 # batch execution
 
-def _run_one(args: Tuple[EnvSpec, str, int, int]) -> dict:
-    """Execute one seeded run; returns a per-run record.
+def _run_one(args: Tuple[EnvSpec, Tuple[str, ...], int, int]) -> List[dict]:
+    """Sample run i's scenario once and simulate it under each method; returns
+    one record per method, in the order given.
 
     The record's ``timing_us`` entry is wall-clock dependent and must be
     stripped before any determinism comparison (see serialize.batch_summary).
@@ -299,44 +309,31 @@ def _run_one(args: Tuple[EnvSpec, str, int, int]) -> dict:
     hull inside a static disc) ends in the ``error`` outcome, so one bad run
     never aborts the batch.
     """
-    env, method, master_seed, run_index = args
-    rng = child_rng(master_seed, run_index)
-    scenario = sample_scenario(env, rng, method=method)
-    record = {
-        "run_index": run_index,
-        "scenario_hash": scenario_hash(scenario),
-        "timing_us": 0.0,
-    }
-    try:
-        result = run(scenario, record=False)
-    except (SimulationError, FieldSingularity) as exc:
-        record.update(outcome="error", error=str(exc), end_reason="error",
-                      ce=None, mcte=None, time_to_goal=None,
-                      min_ship_distance=None, t_end=None, n_steps=None)
-        return record
-    own = result.agents[0]
-    record.update(
-        outcome=own.outcome,
-        end_reason=result.end_reason,
-        ce=own.ce,
-        mcte=own.mcte,
-        time_to_goal=own.time_to_goal,
-        min_ship_distance=own.min_ship_distance,
-        t_end=result.t_end,
-        n_steps=result.n_steps,
-    )
-    record["timing_us"] = result.guidance_time_us_mean
-    return record
+    env, methods, master_seed, run_index = args
+    scenario = sample_scenario(env, child_rng(master_seed, run_index))
+    digest = scenario_hash(scenario)
+    records = []
+    for method in methods:
+        record = {"run_index": run_index, "scenario_hash": digest, "timing_us": 0.0}
+        records.append(record)
+        try:
+            result = run(scenario.with_method(method), record=False)
+        except (SimulationError, FieldSingularity) as exc:
+            record.update(outcome=OUTCOME_ERROR, error=str(exc), end_reason=OUTCOME_ERROR,
+                          ce=None, mcte=None, time_to_goal=None,
+                          min_ship_distance=None, t_end=None, n_steps=None)
+            continue
+        own = result.agents[0]
+        record.update(outcome=own.outcome, end_reason=result.end_reason, ce=own.ce,
+                      mcte=own.mcte, time_to_goal=own.time_to_goal,
+                      min_ship_distance=own.min_ship_distance, t_end=result.t_end,
+                      n_steps=result.n_steps, timing_us=result.guidance_time_us_mean)
+    return records
 
 
 def run_batch(spec: BatchSpec) -> List[dict]:
     """Run the batch; records are ordered by run index for any jobs count."""
-    args = [(spec.env, spec.method, spec.master_seed, i) for i in range(spec.n_runs)]
-    if spec.jobs == 1:
-        return [_run_one(a) for a in args]
-    from multiprocessing import Pool  # only parallel batches load multiprocessing
-    with Pool(processes=spec.jobs) as pool:
-        return pool.map(_run_one, args)
+    return compare_methods([spec])[spec.method]
 
 
 def _mean_ci(values: Sequence[float]) -> Tuple[float, float]:
@@ -356,8 +353,8 @@ def aggregate(records: Sequence[dict]) -> AggregateStats:
     if len(records) < 2:
         raise ValueError("need at least 2 run records to aggregate")
     n = len(records)
-    n_err = sum(1 for r in records if r["outcome"] == "error")
-    successes = [r for r in records if r["outcome"] == "success"]
+    n_err = sum(1 for r in records if r["outcome"] == OUTCOME_ERROR)
+    successes = [r for r in records if r["outcome"] == OUTCOME_SUCCESS]
     p = len(successes) / n
     success_ci = 1.96 * math.sqrt(p * (1.0 - p) / n)
     valid = [r for r in records if r["ce"] is not None]
@@ -380,11 +377,19 @@ def aggregate(records: Sequence[dict]) -> AggregateStats:
 
 
 def compare_methods(specs: Sequence[BatchSpec]) -> Dict[str, List[dict]]:
-    """Paired comparison: runs each batch in turn and returns the records of
-    each method.  The batches must replay one scenario set, so they share
-    the environment, run count and master seed; RuntimeError if they do not."""
-    per_method = {s.method: run_batch(s) for s in specs}
-    hashes = [[r["scenario_hash"] for r in records] for records in per_method.values()]
-    if any(h != hashes[0] for h in hashes):
-        raise RuntimeError("paired comparison broke: scenario sets differ")
-    return per_method
+    """Paired comparison: runs each sampled scenario under every method and
+    returns the records of each method.  The batches must replay one
+    scenario set, so they may differ only in the method; RuntimeError, before
+    any run, if they do not."""
+    first = specs[0]
+    if any(replace(s, method=first.method) != first for s in specs):
+        raise RuntimeError("paired comparison broke: the batches differ in more than the method")
+    methods = tuple(s.method for s in specs)
+    args = [(first.env, methods, first.master_seed, i) for i in range(first.n_runs)]
+    if first.jobs == 1:
+        per_run = [_run_one(a) for a in args]
+    else:
+        from multiprocessing import Pool  # only parallel batches load multiprocessing
+        with Pool(processes=first.jobs) as pool:
+            per_run = pool.map(_run_one, args)
+    return {m: [records[k] for records in per_run] for k, m in enumerate(methods)}

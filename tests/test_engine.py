@@ -131,6 +131,16 @@ class TestLargeStep:
         assert side * DELTA_MAX in deltas
         assert max(abs(d) for d in deltas) == DELTA_MAX
 
+    @pytest.mark.parametrize("dt", [1e100, 1e150])
+    def test_heading_overflow_is_non_finite_state(self, model, dt):
+        # at these steps RK4's fourth stage gets psi = inf, and the
+        # derivative's math.cos raises ValueError before the state is
+        # tested; the run ends as any other non-finite state does
+        sc = scenarios.head_on()
+        world = World(replace(sc, config=SimConfig(dt=dt, max_time=10 * dt)), model=model)
+        with pytest.raises(SimulationError, match=r"^non-finite state for agent 0 at t'=0.0$"):
+            world.step()
+
 
 class TestDeterminismAndInvariance:
     def test_bit_identical_repeat(self, model):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -277,3 +278,28 @@ class TestCompare:
     def test_unpaired_seeds_rejected(self):
         with pytest.raises(RuntimeError, match="paired comparison broke"):
             compare_methods(self.specs(2, ("apf_mvortex", 11), ("apf_inverse", 12)))
+
+    def test_one_sample_per_run_index(self, monkeypatch):
+        drawn = []
+
+        def counted(env, rng):
+            drawn.append(rng)
+            return real_sample(env, rng)
+
+        real_sample = montecarlo.sample_scenario
+        monkeypatch.setattr(montecarlo, "sample_scenario", counted)
+        out = compare_methods(self.specs(
+            3, ("apf_mvortex", 11), ("apf_inverse", 11), ("velocity_obstacle", 11)))
+        assert len(drawn) == 3
+        assert [len(records) for records in out.values()] == [3, 3, 3]
+
+    @pytest.mark.parametrize("mismatch", [
+        dict(master_seed=12), dict(n_runs=3), dict(env=EnvSpec.by_id(2)), dict(jobs=2)])
+    def test_mismatch_refused_before_any_run(self, monkeypatch, mismatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(montecarlo, "run", no_run)
+        [first, second] = self.specs(2, ("apf_mvortex", 11), ("apf_inverse", 11))
+        with pytest.raises(RuntimeError, match="paired comparison broke"):
+            compare_methods([first, replace(second, **mismatch)])

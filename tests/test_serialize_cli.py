@@ -7,7 +7,7 @@ from dataclasses import replace
 import jsonschema
 import pytest
 
-from asvsim import scenarios
+from asvsim import engine, scenarios
 from asvsim.apf import StaticObstacle
 from asvsim.cli import main
 from asvsim.engine import AgentSpec, Scenario, SimConfig, World, run
@@ -334,6 +334,11 @@ class TestResultJSON:
         doc = result_to_dict(res, scenarios.head_on())
         jsonschema.Draft7Validator(schema("result.schema.json")).validate(doc)
 
+    def test_outcome_enum_is_the_engine_vocabulary(self):
+        agent = schema("result.schema.json")["properties"]["agents"]["items"]
+        constants = {v for k, v in vars(engine).items() if k.startswith("OUTCOME_")}
+        assert set(agent["properties"]["outcome"]["enum"]) == constants
+
     def test_batch_summary_has_no_timing(self, model):
         from asvsim.montecarlo import BatchSpec, EnvSpec, aggregate, run_batch
         records = run_batch(BatchSpec(env=EnvSpec.by_id(1), method="apf_mvortex",
@@ -492,10 +497,11 @@ class TestCLI:
     ])
     def test_monte_carlo_commands_reject_before_running(self, tmp_path, capsys,
                                                         monkeypatch, cmd, bad):
-        def no_run(spec):
-            raise AssertionError("a batch ran")
+        def no_run(args):
+            raise AssertionError("a run started")
 
-        monkeypatch.setattr("asvsim.montecarlo.run_batch", no_run)
+        # batch and compare both run every scenario through _run_one
+        monkeypatch.setattr("asvsim.montecarlo._run_one", no_run)
         code = main([*MC_COMMANDS[cmd], "--env", "1", "--runs", "2", "--jobs", "1",
                      *BAD_MC_ARGS[bad], "--out", str(tmp_path)])
         assert code == 1
