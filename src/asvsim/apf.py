@@ -46,13 +46,13 @@ class OwnShip(NamedTuple):
 
 @dataclass(frozen=True)
 class StaticObstacle:
-    """A fixed disc obstacle: its centre and radius; rejects a radius <= 0."""
+    """A fixed disc obstacle: its centre and radius; rejects a radius outside (0, inf)."""
 
     center: Vec2
     R_obs: float = 0.5
 
     def __post_init__(self):
-        if self.R_obs <= 0.0:
+        if not 0.0 < self.R_obs < math.inf:
             raise ValueError("R_obs must be > 0")
 
 
@@ -81,21 +81,21 @@ class ObstacleView:
 
 @dataclass(frozen=True)
 class InverseSquareParams:
-    """Gains and influence distance of the inverse-square field; rejects any value <= 0."""
+    """Gains and influence distance of the inverse-square field, each in (0, inf)."""
 
     k_att: float = 50.0
     k_rep: float = 200000.0
     d0: float = 15.0
 
     def __post_init__(self):
-        if self.k_att <= 0.0 or self.k_rep <= 0.0 or self.d0 <= 0.0:
+        if not all(0.0 < v < math.inf for v in (self.k_att, self.k_rep, self.d0)):
             raise ValueError("inverse-square parameters must be > 0")
 
 
 @dataclass(frozen=True)
 class HarmonicParams:
-    """Sink and vortex strengths and ranges of the harmonic fields; rejects a
-    sink strength >= 0 and a vortex tolerance or in-extremis range <= 0."""
+    """Sink and vortex strengths and ranges of the harmonic fields; rejects
+    a non-finite value, a sink strength >= 0 and a range or tolerance <= 0."""
 
     Lambda_sink: float = -100.0
     K_vor0: float = -10.0
@@ -105,9 +105,11 @@ class HarmonicParams:
     in_extremis_range: float = 10.0
 
     def __post_init__(self):
-        if self.Lambda_sink >= 0.0:
+        if not -math.inf < self.Lambda_sink < 0.0:
             raise ValueError("Lambda_sink must be < 0 (sink)")
-        if self.R_tol_vortex <= 0.0 or self.in_extremis_range <= 0.0:
+        if not math.isfinite(self.K_vor0):
+            raise ValueError("K_vor0 must be finite")
+        if not (0.0 < self.R_tol_vortex < math.inf and 0.0 < self.in_extremis_range < math.inf):
             raise ValueError("R_tol_vortex and in_extremis_range must be > 0")
 
 
@@ -127,7 +129,7 @@ class ChannelBoundary:
     Lambda_src: float = 10.0
 
     def __post_init__(self):
-        if self.activation_distance <= 0.0 or self.Lambda_src <= 0.0:
+        if not (0.0 < self.activation_distance < math.inf and 0.0 < self.Lambda_src < math.inf):
             raise ValueError("activation distance and source strength must be > 0")
         lines = []
         for (x0, y0), (x1, y1) in (self.boundary_a, self.boundary_b):

@@ -61,6 +61,9 @@ OUTCOME_TIMEOUT = "timeout"
 #: in a result taken before the run ended: the outcome of an agent still
 #: sailing, and the end reason
 OUTCOME_RUNNING = "running"
+END_OWN_DONE, END_ALL_DONE = "own_done", "all_done"
+#: every end reason, in the order World.step tests them, then the mid-run one
+END_REASONS = (OUTCOME_COLLISION, END_OWN_DONE, END_ALL_DONE, OUTCOME_TIMEOUT, OUTCOME_RUNNING)
 
 # Cap on |u| that catches integrator blow-up.
 U_CAP = 2.0
@@ -99,9 +102,9 @@ class SimConfig:
     termination: str = "all"
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.max_time <= self.dt:
+        if not 0.0 < self.dt < self.max_time < math.inf:
             raise ValueError("need dt > 0 and max_time > dt")
-        if self.R_safe <= 0.0 or self.collision_threshold <= 0.0:
+        if not (0.0 < self.R_safe < math.inf and 0.0 < self.collision_threshold < math.inf):
             raise ValueError("R_safe and collision_threshold must be > 0")
         if self.termination not in ("all", "own"):
             raise ValueError("termination must be 'all' or 'own'")
@@ -183,6 +186,8 @@ def track_rows(track: MutableSequence[float]) -> Iterator[tuple]:
 class SimResult(NamedTuple):
     """End state of a run: its reason, the per-vessel results and guidance timing.
 
+    ``end_reason`` is one of ``END_REASONS``, ``OUTCOME_RUNNING`` for a
+    result that ended the run mid-way.
     A recorded run keeps each agent's rows in ``tracks``, one flat
     ``array('d')`` per agent in id order: ``ROW_LEN`` doubles per step
     (``n_steps + 1`` steps, the final state included), back to back in
@@ -218,7 +223,7 @@ class _AgentRuntime:
 
     __slots__ = (
         "spec", "deriv", "x", "y", "psi", "u", "v", "r", "delta",
-        "waypoints", "k", "y_int", "done", "time_to_goal", "frozen_psi_d", "prev_psi_d",
+        "waypoints", "k", "y_int", "done", "time_to_goal", "frozen_psi_d",
         "collided", "min_ship_distance", "min_static_clearance",
         "ce_int", "ye_int", "prev_abs_delta", "prev_abs_ye",
         "rows", "last_delta_c", "last_psi_d", "last_mode",
@@ -242,7 +247,6 @@ class _AgentRuntime:
         self.done = False
         self.time_to_goal: Optional[float] = None
         self.frozen_psi_d: Optional[float] = None
-        self.prev_psi_d: Optional[float] = None
         self.collided = False
         self.min_ship_distance = math.inf
         self.min_static_clearance = math.inf
@@ -295,7 +299,6 @@ class World:
 
             for ag in self.agents:
                 ag.rows = array("d")
-        self._finalized = False
         self.t = 0.0
         self.step_index = 0
         self.end_reason: Optional[str] = None
@@ -317,15 +320,12 @@ class World:
         """Pairwise distance bookkeeping on the current state.
 
         Every sub-threshold pair marks both members as collided; the first
-        such pair (lowest ids) is reported.  Under "all" termination any
-        collision ends the run; under "own" only a collision involving the
-        own ship does.  Also fills the step's distance table that
-        :meth:`_views_in_range` reads.
+        such pair (lowest ids) is reported.  Also fills the step's distance
+        table that :meth:`_views_in_range` reads.
         """
         ags = self.agents
-        cfg = self.cfg
-        R_safe = cfg.R_safe
-        threshold = cfg.collision_threshold
+        R_safe = self.cfg.R_safe
+        threshold = self.cfg.collision_threshold
         hypot = math.hypot
         static_views = self._static_views
         n = len(ags)
@@ -364,11 +364,6 @@ class World:
                     if self.collision_pair is None:
                         self.collision_pair = (str(ai.spec.id), f"static:{k}")
                     ai.collided = True
-        if cfg.termination == "own":
-            if ags[0].collided:
-                self.end_reason = "collision"
-        elif self.collision_pair is not None:
-            self.end_reason = "collision"
 
     # ------------------------------------------------------------------
     def _guidance_and_control(self) -> None:
@@ -410,7 +405,6 @@ class World:
                 else:
                     goal = ag.waypoints[ag.k + 1]
                 psi_d = self._reactive_heading(ag, views, goal)
-                ag.prev_psi_d = psi_d
             else:
                 mode = MODE_ILOS
                 ag.vo_heading = None
@@ -419,7 +413,6 @@ class World:
                 else:
                     psi_d = ilos_desired_heading(ag.frame.angle, y_e, ag.y_int, ilos)
                     ag.y_int += dt * ilos_integrator_derivative(y_e, ag.y_int, ilos)
-                    ag.prev_psi_d = psi_d
 
             ag.last_delta_c = pd_rudder_command(ag.psi, psi_d, ag.r, gains)
             ag.last_psi_d = psi_d
@@ -495,11 +488,11 @@ class World:
             t0 = time.perf_counter_ns()
             if method == "apf_inverse":
                 psi_d = apf.desired_heading_inverse_square(
-                    ag, goal, views, scn.inverse_params, ag.prev_psi_d)
+                    ag, goal, views, scn.inverse_params, ag.last_psi_d)
             else:
                 psi_d = apf.desired_heading_harmonic(
                     ag, goal, views, scn.channel, scn.harmonic_params, self.cfg.R_safe,
-                    modified=(method == "apf_mvortex"), prev_psi_d=ag.prev_psi_d)
+                    method == "apf_mvortex", ag.last_psi_d)
         self.guidance_ns += time.perf_counter_ns() - t0
         self.guidance_calls += 1
         return wrap_angle(psi_d)
@@ -546,37 +539,42 @@ class World:
 
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Advance one step.  Returns False once the run has ended."""
+        """Advance one step; returns False once the run has ended.  The one
+        place a run ends: on a collision (of the own ship under "own"
+        termination), the goal (the own ship's under "own", else every
+        ship's) or the time budget, tested in that order."""
         if self.end_reason is not None:
             return False
         self._observe_distances()
-        if self.end_reason is not None:
-            return False
-        if self.cfg.termination == "own":
-            if self.agents[0].done:
-                self.end_reason = "own_done"
-                return False
-        elif all(ag.done for ag in self.agents):
-            self.end_reason = "all_done"
-            return False
-        if self.t >= self.cfg.max_time - 1e-9:
-            self.end_reason = "timeout"
-            return False
-        self._guidance_and_control()
-        self._integrate()
-        self.step_index += 1
-        self.t = self.step_index * self.cfg.dt
-        return True
+        ags = self.agents
+        own = self.cfg.termination == "own"
+        if ags[0].collided if own else self.collision_pair is not None:
+            self.end_reason = OUTCOME_COLLISION
+        elif ags[0].done if own else all(ag.done for ag in ags):
+            self.end_reason = END_OWN_DONE if own else END_ALL_DONE
+        elif self.t >= self.cfg.max_time - 1e-9:
+            self.end_reason = OUTCOME_TIMEOUT
+        else:
+            self._guidance_and_control()
+            self._integrate()
+            self.step_index += 1
+            self.t = self.step_index * self.cfg.dt
+            return True
+        self._close_run()
+        return False
 
-    def _final_observation(self) -> None:
-        """Close metric integrals and record the final state row."""
+    def _close_run(self) -> None:
+        """Close the metric integrals and record the final state row."""
         for ag in self.agents:
             self._observe_row(ag, track_errors((ag.x, ag.y), ag.frame)[1])
 
     def result(self) -> SimResult:
-        if not self._finalized:
-            self._final_observation()
-            self._finalized = True
+        """The run's end state.  On a running world it ends the run (end
+        reason ``OUTCOME_RUNNING``, final row recorded, no step follows); to
+        look without ending it, take the result of a ``copy.deepcopy``."""
+        if self.end_reason is None:
+            self.end_reason = OUTCOME_RUNNING
+            self._close_run()
         T = self.t if self.t > 0.0 else self.cfg.dt
         agents = []
         for ag in self.agents:
@@ -584,7 +582,7 @@ class World:
                 outcome = OUTCOME_COLLISION
             elif ag.done:
                 outcome = OUTCOME_SUCCESS
-            elif self.end_reason is None:
+            elif self.end_reason == OUTCOME_RUNNING:
                 outcome = OUTCOME_RUNNING
             else:
                 outcome = OUTCOME_TIMEOUT
@@ -602,7 +600,7 @@ class World:
                    if self.guidance_calls else 0.0)
         return SimResult(
             t_end=self.t,
-            end_reason=self.end_reason or OUTCOME_RUNNING,
+            end_reason=self.end_reason,
             collision_pair=self.collision_pair,
             agents=agents,
             n_steps=self.step_index,

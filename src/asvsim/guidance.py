@@ -31,21 +31,23 @@ class ILOSParams:
     Ki_g: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.Delta <= 0.0 or self.R_tol <= 0.0:
+        if not (0.0 < self.Delta < math.inf and 0.0 < self.R_tol < math.inf):
             raise ValueError("Delta and R_tol must be > 0")
+        if not math.isfinite(self.k_factor):
+            raise ValueError("k_factor must be finite")
         object.__setattr__(self, "Kp_g", 1.0 / self.Delta)
         object.__setattr__(self, "Ki_g", self.k_factor * self.Kp_g)
 
 
 @dataclass(frozen=True)
 class PDGains:
-    """Proportional and derivative gains of the heading controller; rejects a gain <= 0."""
+    """Proportional and derivative gains of the heading controller, each in (0, inf)."""
 
     Kp_c: float = 3.5
     Kd_c: float = 4.0
 
     def __post_init__(self):
-        if self.Kp_c <= 0.0 or self.Kd_c <= 0.0:
+        if not (0.0 < self.Kp_c < math.inf and 0.0 < self.Kd_c < math.inf):
             raise ValueError("PD gains must be > 0")
 
 

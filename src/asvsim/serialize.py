@@ -300,7 +300,7 @@ def read_trajectory_csv(path: str) -> Dict[int, List[tuple]]:
     out: Dict[int, List[tuple]] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])  # a zero-byte file has no header either
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header {header}")
         for rec in reader:
@@ -309,6 +309,8 @@ def read_trajectory_csv(path: str) -> Dict[int, List[tuple]]:
                    float(rec[5]), float(rec[6]), float(rec[7]), float(rec[8]),
                    float(rec[9]), float(rec[10]), int(rec[11]), float(rec[12]))
             out.setdefault(aid, []).append(row)
+    if not out:
+        raise ValueError(f"{path}: trajectory CSV has no rows")
     return out
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .apf import FieldSingularity, ObstacleView
 from .frames import Vec2
@@ -20,7 +20,7 @@ from .frames import Vec2
 
 @dataclass(frozen=True)
 class VOParams:
-    """Cone radius and heading search of the velocity obstacle; rejects any value <= 0."""
+    """Cone radius and heading search of the velocity obstacle, each in (0, inf)."""
 
     # cone disc calibrated so that mutual VO encounters pass at about six
     # ship lengths, matching the reference head-on/crossing behavior
@@ -29,28 +29,22 @@ class VOParams:
     max_course_change: float = math.radians(90.0)
 
     def __post_init__(self):
-        if min(self.cone_radius, self.heading_resolution, self.max_course_change) <= 0.0:
+        if not (0.0 < self.cone_radius < math.inf and 0.0 < self.heading_resolution < math.inf
+                and 0.0 < self.max_course_change < math.inf):
             raise ValueError("cone_radius, resolution and max course change must be > 0")
 
 
 @dataclass(frozen=True)
 class CollisionCone:
-    """Forbidden relative-velocity cone for one target.
-
-    ``whole_plane`` marks targets already inside the combined radius, for
-    which every candidate is counted as violating; their ``cos_half_angle``
-    of -1.0 is never read.
-    """
+    """Forbidden relative-velocity cone for one target outside the combined
+    radius; a target inside it has no cone and forbids every velocity."""
 
     apex_velocity: Vec2
     axis: Vec2  # unit vector from own position toward the target
     cos_half_angle: float
-    whole_plane: bool = False
 
     def forbids(self, w: Vec2) -> bool:
         """True when own velocity w leads to collision with this target."""
-        if self.whole_plane:
-            return True
         apex = self.apex_velocity
         rx = w[0] - apex[0]
         ry = w[1] - apex[1]
@@ -63,13 +57,14 @@ class CollisionCone:
 
 
 def collision_cone(own_pos: Vec2, target_pos: Vec2, target_vel: Vec2,
-                   cone_radius: float) -> CollisionCone:
-    """Construct the linear velocity-obstacle cone for one target."""
+                   cone_radius: float) -> Optional[CollisionCone]:
+    """The linear velocity-obstacle cone for one target; None for a target
+    within ``cone_radius``, which forbids every own velocity."""
     dx = target_pos[0] - own_pos[0]
     dy = target_pos[1] - own_pos[1]
     sep = math.hypot(dx, dy)
     if sep <= cone_radius:
-        return CollisionCone(target_vel, (1.0, 0.0), -1.0, whole_plane=True)
+        return None
     return CollisionCone(
         apex_velocity=target_vel,
         axis=(dx / sep, dy / sep),
@@ -86,8 +81,9 @@ def heading_admissible(own_pos: Vec2, own_speed: float, heading: float,
     """
     w = (own_speed * math.cos(heading), own_speed * math.sin(heading))
     for obs in views:
-        if collision_cone(own_pos, obs.position, obs.velocity_global,
-                          p.cone_radius + obs.radius).forbids(w):
+        cone = collision_cone(own_pos, obs.position, obs.velocity_global,
+                              p.cone_radius + obs.radius)
+        if cone is None or cone.forbids(w):
             return False
     return True
 
@@ -107,11 +103,11 @@ def vo_desired_heading(
     starboard.  If no candidate clears every cone, the candidate violating
     the fewest cones (first in enumeration order) is returned.
 
-    Whole-plane cones are violated by every candidate, so they add the
-    same amount to every count and are left out of it: the first candidate
-    that violates no other cone wins at once.  A candidate's count stops as
-    soon as it reaches the best count so far, since it can then no longer
-    win.  Neither shortcut changes the result.
+    A target inside its cone radius (no cone) forbids every candidate, so
+    it adds the same amount to every count and is left out of it: the first
+    candidate that violates no cone wins at once.  A candidate's count
+    stops as soon as it reaches the best count so far, since it can then no
+    longer win.  Neither shortcut changes the result.
     """
     if own_speed <= 0.0:
         raise FieldSingularity("own speed must be > 0 for the constant-speed search")
@@ -120,7 +116,7 @@ def vo_desired_heading(
         return goal_bearing
     cones = [collision_cone(own_pos, obs.position, obs.velocity_global, p.cone_radius + obs.radius)
              for obs in views]
-    tests = [cone.forbids for cone in cones if not cone.whole_plane]
+    tests = [cone.forbids for cone in cones if cone is not None]
 
     n_steps = int(round(p.max_course_change / p.heading_resolution))
     best_heading = goal_bearing

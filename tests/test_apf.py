@@ -67,7 +67,9 @@ def fd_gradient(pos, goal, obstacles, p, h=1e-5):
 @pytest.mark.parametrize("build", [
     lambda: StaticObstacle(center=(0.0, 0.0), R_obs=0.0),
     lambda: HarmonicParams(Lambda_sink=0.0),
-], ids=["static_radius_zero", "sink_strength_zero"])
+    lambda: StaticObstacle(center=(0.0, 0.0), R_obs=math.nan),
+    lambda: StaticObstacle(center=(0.0, 0.0), R_obs=math.inf),
+], ids=["static_radius_zero", "sink_strength_zero", "static_radius_nan", "static_radius_inf"])
 def test_invalid_parameters_rejected(build):
     with pytest.raises(ValueError):
         build()

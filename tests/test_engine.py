@@ -299,6 +299,18 @@ class TestOutcomes:
         assert world.step() is False
         assert (world.t, world.step_index, world.end_reason) == (t, n, "all_done")
 
+    def test_mid_run_result_ends_the_run(self, model):
+        # a result taken mid-run closes the run: no step follows it, and the
+        # tracks end with the row of the state it reports
+        world = World(scenarios.head_on(), model=model)
+        for _ in range(3):
+            assert world.step()
+        first = world.result()
+        assert world.step() is False
+        assert world.end_reason == "running"
+        assert world.result() == first
+        assert [len(t) for t in first.tracks] == [(3 + 1) * ROW_LEN] * 2
+
     def test_own_termination_ignores_third_party_collision(self, model):
         # agents 1 and 2 collide head-on with the weak method while the own
         # ship sails clear far away; under "own" termination the run carries

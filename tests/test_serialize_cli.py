@@ -22,9 +22,8 @@ from asvsim.plots import (
 )
 from asvsim.serialize import (
     CSV_COLUMNS,
-    DEGREES,
+    NUMBER,
     PARAMETERS,
-    POSITIVE,
     ScenarioError,
     batch_summary_dict,
     dumps_canonical,
@@ -237,11 +236,16 @@ class TestScenarioParsing:
 
 SCHEMA_PROPERTIES = schema("scenario.schema.json")["properties"]
 PARAMETER_BLOCKS = sorted({block for block, _, _ in PARAMETERS.values()})
-#: "block.key" -> (Scenario attribute, dataclass field) of every key the
-#: parser requires to be > 0
-POSITIVE_KEYS = {f"{block}.{key}": (attr, name)
-                 for attr, (block, _, keys) in PARAMETERS.items()
-                 for key, (name, kind) in keys.items() if kind in (POSITIVE, DEGREES)}
+#: "block.key" -> (Scenario attribute, dataclass field, kind) of every number key
+NUMBER_KEYS = {f"{block}.{key}": (attr, name, kind)
+               for attr, (block, _, keys) in PARAMETERS.items()
+               for key, (name, kind) in keys.items() if not isinstance(kind, tuple)}
+
+#: (value, "block.key") of every value the parser rejects for a number key:
+#: NaN and +-inf for each, and 0 and -1 too for each it requires to be > 0
+NON_FINITE = (math.nan, math.inf, -math.inf)
+PARSER_REJECTS = [(value, path) for path, (_, _, kind) in NUMBER_KEYS.items()
+                  for value in (NON_FINITE if kind == NUMBER else (0.0, -1.0, *NON_FINITE))]
 
 
 class TestSchemaParity:
@@ -268,11 +272,15 @@ class TestSchemaParity:
         with pytest.raises(ScenarioError, match=f"^{re.escape(path)}: "):
             parse_scenario(doc)
 
-    @pytest.mark.parametrize("path", list(POSITIVE_KEYS))
-    @pytest.mark.parametrize("value", [0.0, -1.0])
-    def test_params_reject_what_the_parser_rejects(self, path, value):
+    @pytest.mark.parametrize("value, path", PARSER_REJECTS)
+    def test_params_reject_what_the_parser_rejects(self, value, path):
         # a programmatic scenario gets the same check as the key in a file
-        attr, name = POSITIVE_KEYS[path]
+        block, key = path.split(".")
+        doc = scenario_to_dict(scenarios.narrow_channel())
+        doc[block][key] = value
+        with pytest.raises(ScenarioError, match=f"^{re.escape(path)}: must be"):
+            parse_scenario(doc)
+        attr, name, _ = NUMBER_KEYS[path]
         params = getattr(scenarios.narrow_channel(), attr)
         with pytest.raises(ValueError):
             replace(params, **{name: value})
@@ -307,6 +315,9 @@ class TestTrajectoryCSV:
         path.write_text("t,agent\r\n0.0,0\r\n")
         with pytest.raises(ValueError, match="unexpected CSV header"):
             read_trajectory_csv(str(path))
+        path.write_text("")
+        with pytest.raises(ValueError, match=r"unexpected CSV header \[\]"):
+            read_trajectory_csv(str(path))
 
     def test_one_row_per_agent_per_step(self, tmp_path, model):
         res = run(scenarios.head_on(), model=model, record=True)
@@ -338,6 +349,10 @@ class TestResultJSON:
         agent = schema("result.schema.json")["properties"]["agents"]["items"]
         constants = {v for k, v in vars(engine).items() if k.startswith("OUTCOME_")}
         assert set(agent["properties"]["outcome"]["enum"]) == constants
+
+    def test_end_reason_enum_is_the_engine_vocabulary(self):
+        enum = schema("result.schema.json")["properties"]["end_reason"]["enum"]
+        assert sorted(enum) == sorted(engine.END_REASONS)
 
     def test_batch_summary_has_no_timing(self, model):
         from asvsim.montecarlo import BatchSpec, EnvSpec, aggregate, run_batch
@@ -601,6 +616,16 @@ class TestPlots:
         assert code == 1
         assert capsys.readouterr().err == (
             "error: no agent pair came within the detection radius\n")
+
+    @pytest.mark.parametrize("kind", ["path", "rudder", "heading", "crosstrack", "distance"])
+    def test_empty_trajectory_rejected(self, tmp_path, capsys, kind):
+        traj = tmp_path / "t.csv"
+        traj.write_text(",".join(CSV_COLUMNS) + "\r\n")
+        code = main(["plot", "--traj", str(traj), "--kind", kind,
+                     "--out", str(tmp_path / "p.svg")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {traj}: trajectory CSV has no rows\n"
+        assert not (tmp_path / "p.svg").exists()
 
     def test_plot_needs_a_trajectory(self, tmp_path, capsys):
         for args in (["--kind", "path"], ["--traj", str(tmp_path / "t.csv")]):

@@ -31,10 +31,11 @@ class TestCollisionCone:
         assert not cone.forbids((0.5, 0.5))
 
     def test_overlap_forbids_everything(self):
-        cone = collision_cone((0, 0), (1.0, 0), (0, 0), 2.0)
-        assert cone.whole_plane
-        assert cone.forbids((0.0, 0.0))
-        assert cone.forbids((5.0, -3.0))
+        # a target inside the cone radius has no cone: every course is refused
+        assert collision_cone((0, 0), (1.0, 0), (0, 0), 2.0) is None
+        targets = [view((1.0, 0.0))]
+        for k in range(8):
+            assert not heading_admissible((0, 0), 1.0, k * math.pi / 4, targets, VOParams(2.0))
 
 
 class TestDesiredHeading:
@@ -104,7 +105,7 @@ def reference_cones(own_pos, targets, p):
 
 def reference_violations(cones, speed, heading):
     w = (speed * math.cos(heading), speed * math.sin(heading))
-    return sum(1 for cone in cones if cone.forbids(w))
+    return sum(1 for cone in cones if cone is None or cone.forbids(w))
 
 
 def reference_search(own_pos, speed, goal, targets, p):
@@ -149,7 +150,7 @@ params = st.builds(
 @st.composite
 def scenes(draw):
     """Own ship at the origin heading for a goal on the +x axis.  Targets are
-    random (targets within the combined radius give whole-plane cones,
+    random (targets within the combined radius give no cone and forbid all,
     crowds force the fewest-violations fallback); mirroring them about the
     goal line makes every +i/-i candidate pair tie, so the starboard
     tie-break decides."""
@@ -179,7 +180,7 @@ class TestMatchesReference:
         p = VOParams(cone_radius=2.0)
         targets = [view((1.0, 0.5)), view((-1.0, -1.0), (0.3, 0.0)), view((10.0, 0.0))]
         cones = reference_cones((0.0, 0.0), targets, p)
-        assert sum(c.whole_plane for c in cones) == 2
+        assert cones.count(None) == 2
         chosen = vo_desired_heading((0.0, 0.0), 1.0, (30.0, 0.0), targets, p)
         assert chosen == reference_search((0.0, 0.0), 1.0, (30.0, 0.0), targets, p)
         assert reference_violations(cones, 1.0, chosen) == 2
@@ -193,7 +194,7 @@ class TestMatchesReference:
                         (-0.6 * math.cos(a), -0.6 * math.sin(a)))
                    for a in [math.radians(d) for d in range(-90, 91, 30)]]
         cones = reference_cones((0.0, 0.0), targets, p)
-        assert not any(c.whole_plane for c in cones)
+        assert None not in cones
         chosen = vo_desired_heading((0.0, 0.0), 1.0, (30.0, 0.0), targets, p)
         assert chosen == reference_search((0.0, 0.0), 1.0, (30.0, 0.0), targets, p)
         assert reference_violations(cones, 1.0, chosen) > 0
