@@ -350,16 +350,15 @@ def desired_heading_harmonic(
     boundaries: Optional[ChannelBoundary],
     p: HarmonicParams,
     R_safe: float,
-    modified: bool = True,
-    prev_psi_d: Optional[float] = None,
+    modified: bool,
+    prev_psi_d: float,
 ) -> float:
     """Heading of the composed sink + vortex (+ wall source) flow field.
 
     ``obstacles`` are the detected ones, those within the detection radius
     R_safe.  With ``modified`` the per-obstacle vortex strength passes
     through the COLREGS gate; otherwise every detected obstacle gets K_vor0.
-    Falls back to ``prev_psi_d`` (or the current heading) at stagnation
-    points.
+    Falls back to ``prev_psi_d`` at stagnation points.
     """
     pos = (own.x, own.y)
     vx, vy = sink_velocity(pos, goal, p.Lambda_sink)
@@ -375,7 +374,7 @@ def desired_heading_harmonic(
         vx += bx
         vy += by
     if math.hypot(vx, vy) < STAGNATION_EPS:
-        return prev_psi_d if prev_psi_d is not None else own.psi
+        return prev_psi_d
     return math.atan2(vy, vx)
 
 
@@ -384,11 +383,12 @@ def desired_heading_inverse_square(
     goal: Vec2,
     obstacles: Sequence[ObstacleView],
     p: InverseSquareParams,
-    prev_psi_d: Optional[float] = None,
+    prev_psi_d: float,
 ) -> float:
-    """Heading of the inverse-square steepest-descent direction."""
+    """Heading of the inverse-square steepest-descent direction; falls back
+    to ``prev_psi_d`` at stagnation points."""
     pos = (own.x, own.y)
     gx, gy = inverse_square_gradient(pos, goal, obstacles, p)
     if math.hypot(gx, gy) < STAGNATION_EPS:
-        return prev_psi_d if prev_psi_d is not None else own.psi
+        return prev_psi_d
     return math.atan2(gy, gx)

@@ -2,6 +2,8 @@
 
 Exit codes for `simulate`: 0 success, 2 collision, 3 timeout, 1 error.
 All other subcommands exit 0 on completion and 1 on bad input.
+`main` is the one place where a failure becomes exit 1: a bad input or a
+failed run of any command prints `error: <message>` on stderr.
 """
 
 from __future__ import annotations
@@ -12,27 +14,19 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import montecarlo, plots, serialize
-from .engine import OUTCOME_COLLISION, OUTCOME_TIMEOUT, SimConfig, run
-from .serialize import ScenarioError, dumps_canonical, resolve_method
+from .engine import OUTCOME_COLLISION, OUTCOME_TIMEOUT, SimConfig, SimulationError, run
+from .serialize import dumps_canonical, resolve_method
 
 
 def cmd_simulate(args) -> int:
-    try:
-        scenario = serialize.load_scenario(args.scenario)
-        if args.method:
-            scenario = scenario.with_method(resolve_method(args.method))
-        if args.dt is not None:
-            scenario = replace(scenario, config=replace(scenario.config, dt=args.dt))
-    except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        result = run(scenario, record=True)
-    except Exception as exc:  # noqa: BLE001 - surface any run failure as exit 1
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    scenario = serialize.load_scenario(args.scenario)
+    if args.method:
+        scenario = scenario.with_method(resolve_method(args.method))
+    if args.dt is not None:
+        scenario = replace(scenario, config=replace(scenario.config, dt=args.dt))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    result = run(scenario, record=True)
     serialize.write_trajectory_csv(result, str(out / "trajectory.csv"))
     (out / "result.json").write_text(
         dumps_canonical(serialize.result_to_dict(result, scenario)), encoding="utf-8")
@@ -57,15 +51,11 @@ def _batch_specs(args, methods):
 
 
 def cmd_batch(args) -> int:
-    try:
-        [spec] = _batch_specs(args, [resolve_method(args.method)])
-    except ValueError as exc:  # ScenarioError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    records = montecarlo.run_batch(spec)
-    agg = montecarlo.aggregate(records)
+    [spec] = _batch_specs(args, [resolve_method(args.method)])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    records = montecarlo.run_batch(spec)
+    agg = montecarlo.aggregate(records)
     summary = serialize.batch_summary_dict(args.env, spec.method, args.runs, args.seed,
                                            records, agg)
     (out / "summary.json").write_text(dumps_canonical(summary), encoding="utf-8")
@@ -78,19 +68,15 @@ def cmd_batch(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        methods = [resolve_method(m.strip()) for m in args.methods.split(",")]
-        if len(set(methods)) < len(methods):
-            raise ValueError(f"--methods lists a method twice: {args.methods}")
-        # validate every batch before the first one runs
-        specs = _batch_specs(args, methods)
-    except ValueError as exc:  # ScenarioError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    records = montecarlo.compare_methods(specs)
-    aggregates = {m: montecarlo.aggregate(r) for m, r in records.items()}
+    methods = [resolve_method(m.strip()) for m in args.methods.split(",")]
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"--methods lists a method twice: {args.methods}")
+    # validate every batch before the first one runs
+    specs = _batch_specs(args, methods)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    records = montecarlo.compare_methods(specs)
+    aggregates = {m: montecarlo.aggregate(r) for m, r in records.items()}
     doc = serialize.comparison_dict(args.env, args.runs, args.seed, records, aggregates)
     (out / "comparison.json").write_text(dumps_canonical(doc), encoding="utf-8")
     timing = {serialize.METHOD_SHORT[m]: agg.mean_guidance_call_us
@@ -104,37 +90,29 @@ def cmd_compare(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    try:
-        if args.field:
-            plots.plot_field(args.field, args.out)
-            return 0
-        if not args.traj or not args.kind:
-            raise ValueError("need --traj and --kind (or --field)")
-        rows = serialize.read_trajectory_csv(args.traj)
-        scenario = None
-        if args.scenario:
-            scenario = serialize.load_scenario(args.scenario)
-        if args.kind == "path":
-            plots.plot_paths(rows, scenario, args.out)
-        elif args.kind in ("rudder", "heading", "crosstrack"):
-            plots.plot_series(rows, args.kind, args.out)
-        elif args.kind == "distance":
-            config = scenario.config if scenario else SimConfig()
-            plots.plot_distances(rows, args.out, r_safe=config.R_safe)
-        else:
-            raise ValueError(f"unknown plot kind {args.kind!r}")
-    except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.field:
+        plots.plot_field(args.field, args.out)
+        return 0
+    if not args.traj or not args.kind:
+        raise ValueError("need --traj and --kind (or --field)")
+    rows = serialize.read_trajectory_csv(args.traj)
+    scenario = None
+    if args.scenario:
+        scenario = serialize.load_scenario(args.scenario)
+    if args.kind == "path":
+        plots.plot_paths(rows, scenario, args.out)
+    elif args.kind in ("rudder", "heading", "crosstrack"):
+        plots.plot_series(rows, args.kind, args.out)
+    elif args.kind == "distance":
+        config = scenario.config if scenario else SimConfig()
+        plots.plot_distances(rows, args.out, r_safe=config.R_safe)
+    else:
+        raise ValueError(f"unknown plot kind {args.kind!r}")
     return 0
 
 
 def cmd_validate(args) -> int:
-    try:
-        serialize.load_scenario(args.scenario)
-    except (OSError, ScenarioError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    serialize.load_scenario(args.scenario)
     print("ok")
     return 0
 
@@ -188,7 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, SimulationError) as exc:
+        # ValueError covers ScenarioError, FieldSingularity, CoefficientError
+        # and UnicodeDecodeError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

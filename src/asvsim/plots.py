@@ -284,10 +284,10 @@ def sample_field(kind: str) -> List[Tuple[float, float, float, float]]:
                 continue
             own = OwnShip(x, y, 0.0, 1.0, 0.0)
             if kind == "inverse":
-                psi = desired_heading_inverse_square(own, goal, obstacles, inverse)
+                psi = desired_heading_inverse_square(own, goal, obstacles, inverse, own.psi)
             else:
                 psi = desired_heading_harmonic(own, goal, obstacles, None, harmonic, R_safe,
-                                               modified=(kind == "mvortex"))
+                                               kind == "mvortex", own.psi)
             arrows.append((x, y, math.cos(psi), math.sin(psi)))
     return arrows
 

@@ -304,6 +304,9 @@ def read_trajectory_csv(path: str) -> Dict[int, List[tuple]]:
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header {header}")
         for rec in reader:
+            if len(rec) != len(CSV_COLUMNS):
+                raise ValueError(f"{path}: line {reader.line_num}: expected "
+                                 f"{len(CSV_COLUMNS)} fields, got {len(rec)}")
             aid = int(rec[1])
             row = (float(rec[0]), float(rec[2]), float(rec[3]), float(rec[4]),
                    float(rec[5]), float(rec[6]), float(rec[7]), float(rec[8]),

@@ -373,25 +373,27 @@ class TestBoundarySources:
 class TestDesiredHeadings:
     def test_harmonic_points_at_goal_without_obstacles(self):
         psi_d = desired_heading_harmonic(own_state(), (10.0, 10.0), [], None,
-                                         HarmonicParams(), R_SAFE)
+                                         HarmonicParams(), R_SAFE, True, 0.0)
         assert psi_d == pytest.approx(math.pi / 4)
 
     def test_harmonic_deflects_starboard_for_head_on_obstacle(self):
         own = own_state(u=1.0)
         obs = static_view((10.0, 0.0))
         psi_d = desired_heading_harmonic(own, (25.0, 0.0), [obs], None, HarmonicParams(),
-                                         R_SAFE)
+                                         R_SAFE, True, own.psi)
         assert psi_d > 0.0
 
     def test_gated_vortex_equals_sink_only(self):
         own = own_state(u=1.0)
         obs = dynamic_view((-5.0, 5.0), (1.0, 0.0))  # abaft: gated to zero
         p = HarmonicParams()
-        with_obs = desired_heading_harmonic(own, (25.0, 0.0), [obs], None, p, R_SAFE)
-        sink_only = desired_heading_harmonic(own, (25.0, 0.0), [], None, p, R_SAFE)
+        with_obs = desired_heading_harmonic(own, (25.0, 0.0), [obs], None, p, R_SAFE,
+                                            True, own.psi)
+        sink_only = desired_heading_harmonic(own, (25.0, 0.0), [], None, p, R_SAFE,
+                                             True, own.psi)
         assert with_obs == sink_only
 
-    @pytest.mark.parametrize("prev_psi_d, expected", [(0.7, 0.7), (None, 0.3)])
+    @pytest.mark.parametrize("prev_psi_d, expected", [(0.7, 0.7)])
     def test_harmonic_stagnation_holds_previous_heading(self, prev_psi_d, expected):
         # at the origin the sink toward (10, 0) and the vortex of an obstacle
         # at (0, 1) cancel exactly: the paper's stagnation point
@@ -407,18 +409,19 @@ class TestDesiredHeadings:
 
     def test_inverse_square_points_at_goal_when_clear(self):
         psi_d = desired_heading_inverse_square(own_state(), (0.0, 30.0), [],
-                                               InverseSquareParams())
+                                               InverseSquareParams(), 0.0)
         assert psi_d == pytest.approx(math.pi / 2)
 
     def test_inverse_square_collinear_until_stagnation(self):
         p = InverseSquareParams()
         own_far = own_state(x=0.0)
         obs = static_view((25.0, 0.0))
-        assert desired_heading_inverse_square(own_far, (50.0, 0.0), [obs], p) == 0.0
+        assert desired_heading_inverse_square(own_far, (50.0, 0.0), [obs], p, 0.0) == 0.0
         own_near = own_state(x=24.0)  # inside the stagnation radius
-        assert abs(desired_heading_inverse_square(own_near, (50.0, 0.0), [obs], p)) == math.pi
+        assert abs(desired_heading_inverse_square(own_near, (50.0, 0.0), [obs], p,
+                                                  0.0)) == math.pi
 
-    @pytest.mark.parametrize("prev_psi_d, expected", [(0.7, 0.7), (None, 0.3)])
+    @pytest.mark.parametrize("prev_psi_d, expected", [(0.7, 0.7)])
     def test_stagnation_holds_previous_heading(self, prev_psi_d, expected):
         out = desired_heading_inverse_square(own_state(x=3.0, y=4.0, psi=0.3), (3.0, 4.0),
                                              [], InverseSquareParams(), prev_psi_d=prev_psi_d)

@@ -97,7 +97,7 @@ class TestStep:
 
         def heading(R_safe):
             return wrap_angle(desired_heading_harmonic(
-                own, (60.0, 0.0), [view], None, HarmonicParams(), R_safe))
+                own, (60.0, 0.0), [view], None, HarmonicParams(), R_safe, True, own.psi))
 
         assert first[9] == heading(20.0) != heading(15.0)
 

@@ -523,6 +523,26 @@ class TestCLI:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("cmd", ["validate", "simulate", "batch", "compare"])
+    def test_failure_is_one_error_line(self, scenario_file, tmp_path, capsys,
+                                       monkeypatch, cmd):
+        def no_run(args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("asvsim.montecarlo._run_one", no_run)
+        # a UTF-16 file: no UTF-8 scenario for validate, no directory for --out
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(json.dumps(MINIMAL).encode("utf-16"))
+        assert bad.read_bytes().startswith(b"\xff\xfe")
+        argv = {"validate": ["validate", "--scenario", str(bad)],
+                "simulate": ["simulate", "--scenario", scenario_file, "--out", str(bad)],
+                **{c: [*MC_COMMANDS[c], "--env", "1", "--runs", "2", "--jobs", "1",
+                       "--out", str(bad)] for c in MC_COMMANDS}}
+        assert main(argv[cmd]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
     def test_batch_invalid_env(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["batch", "--env", "9", "--method", "mvortex",
@@ -626,6 +646,17 @@ class TestPlots:
         assert code == 1
         assert capsys.readouterr().err == f"error: {traj}: trajectory CSV has no rows\n"
         assert not (tmp_path / "p.svg").exists()
+
+    @pytest.mark.parametrize("kind, record, fields", [("path", "0.0,0,1.0", 3),
+                                                      ("rudder", "", 0)])
+    def test_short_trajectory_record_rejected(self, tmp_path, capsys, kind, record, fields):
+        traj = tmp_path / "t.csv"
+        traj.write_text(",".join(CSV_COLUMNS) + "\r\n" + record + "\r\n")
+        code = main(["plot", "--traj", str(traj), "--kind", kind,
+                     "--out", str(tmp_path / "p.svg")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {traj}: line 2: expected {len(CSV_COLUMNS)} fields, got {fields}\n")
 
     def test_plot_needs_a_trajectory(self, tmp_path, capsys):
         for args in (["--kind", "path"], ["--traj", str(tmp_path / "t.csv")]):
