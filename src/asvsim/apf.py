@@ -11,7 +11,7 @@ Three field families:
   scaled up with collision risk, which yields COLREGS-consistent behavior.
 
 The vortex Cartesian form is v = (K / (2 pi r^2)) * (-dy, dx) in the z-down
-global frame, so the default negative vortex strength deflects a head-on
+global frame, so the negative vortex strength K_VOR0 deflects a head-on
 approacher to starboard.  Channel walls are modeled as line sources active
 within a threshold distance of the wall.
 """
@@ -26,6 +26,24 @@ from .frames import TWO_PI, Vec2, wrap_angle
 
 # Gradient/velocity magnitudes below this are treated as stagnation.
 STAGNATION_EPS = 1e-9
+
+#: inverse-square field: attraction gain k_att, repulsion gain k_rep and
+#: influence distance d0 (L)
+K_ATT = 50.0
+K_REP = 200000.0
+D0 = 15.0
+#: harmonic fields: sink strength Lambda (< 0), base vortex strength K_vor0
+#: and the vortex gate's pass tolerance R_tol (L)
+LAMBDA_SINK = -100.0
+K_VOR0 = -10.0
+R_TOL_VORTEX = 3.0
+#: range (L) inside which a stand-on/overtaken vessel abandons its passive
+#: duty when the give-way ship has evidently failed to act
+IN_EXTREMIS_RANGE = 10.0
+#: channel walls: a wall's line source acts within this distance (L) of it,
+#: with this strength
+WALL_ACTIVATION_DISTANCE = 2.0
+LAMBDA_SRC = 10.0
 
 
 class FieldSingularity(ValueError):
@@ -80,57 +98,19 @@ class ObstacleView:
 
 
 @dataclass(frozen=True)
-class InverseSquareParams:
-    """Gains and influence distance of the inverse-square field, each in (0, inf)."""
-
-    k_att: float = 50.0
-    k_rep: float = 200000.0
-    d0: float = 15.0
-
-    def __post_init__(self):
-        if not all(0.0 < v < math.inf for v in (self.k_att, self.k_rep, self.d0)):
-            raise ValueError("inverse-square parameters must be > 0")
-
-
-@dataclass(frozen=True)
-class HarmonicParams:
-    """Sink and vortex strengths and ranges of the harmonic fields; rejects
-    a non-finite value, a sink strength >= 0 and a range or tolerance <= 0."""
-
-    Lambda_sink: float = -100.0
-    K_vor0: float = -10.0
-    R_tol_vortex: float = 3.0
-    # range inside which a stand-on/overtaken vessel abandons its passive
-    # duty when the give-way ship has evidently failed to act
-    in_extremis_range: float = 10.0
-
-    def __post_init__(self):
-        if not -math.inf < self.Lambda_sink < 0.0:
-            raise ValueError("Lambda_sink must be < 0 (sink)")
-        if not math.isfinite(self.K_vor0):
-            raise ValueError("K_vor0 must be finite")
-        if not (0.0 < self.R_tol_vortex < math.inf and 0.0 < self.in_extremis_range < math.inf):
-            raise ValueError("R_tol_vortex and in_extremis_range must be > 0")
-
-
-@dataclass(frozen=True)
 class ChannelBoundary:
     """Two parallel channel walls, each given as a line segment.
 
     Line sources on the walls repel the vessel toward the channel interior
-    whenever it is within ``activation_distance`` of a wall.  Each wall's
-    line frame (origin, unit tangent, unit normal toward the other wall) and
-    the channel width are computed once, on construction.
+    whenever it is within ``WALL_ACTIVATION_DISTANCE`` of a wall.  Each
+    wall's line frame (origin, unit tangent, unit normal toward the other
+    wall) and the channel width are computed once, on construction.
     """
 
     boundary_a: Tuple[Vec2, Vec2]
     boundary_b: Tuple[Vec2, Vec2]
-    activation_distance: float = 2.0
-    Lambda_src: float = 10.0
 
     def __post_init__(self):
-        if not (0.0 < self.activation_distance < math.inf and 0.0 < self.Lambda_src < math.inf):
-            raise ValueError("activation distance and source strength must be > 0")
         lines = []
         for (x0, y0), (x1, y1) in (self.boundary_a, self.boundary_b):
             dx, dy = x1 - x0, y1 - y0
@@ -153,24 +133,27 @@ class ChannelBoundary:
         object.__setattr__(self, "_walls", tuple(walls))
         object.__setattr__(self, "_width", width)
 
-    def signed_offsets(self, pos: Vec2) -> Tuple[float, float]:
-        """Perpendicular distances from pos to wall lines a and b (unsigned)."""
+    def wall_distances(self, pos: Vec2) -> Tuple[float, float]:
+        """Perpendicular distances from pos to wall lines a and b."""
         (ax, ay, atx, aty, _, _), (bx, by, btx, bty, _, _) = self._walls
         x, y = pos
         return (abs(-aty * (x - ax) + atx * (y - ay)),
                 abs(-bty * (x - bx) + btx * (y - by)))
 
-    def contains(self, pos: Vec2) -> bool:
-        da, db = self.signed_offsets(pos)
+    def _between(self, distances: Tuple[float, float]) -> bool:
+        """True when wall distances (da, db) place a point between the
+        walls: past either wall it is farther than the width from the other."""
         w = self._width
-        return da <= w + 1e-9 and db <= w + 1e-9
+        return distances[0] <= w + 1e-9 and distances[1] <= w + 1e-9
+
+    def contains(self, pos: Vec2) -> bool:
+        return self._between(self.wall_distances(pos))
 
 
 def inverse_square_gradient(
     pos: Vec2,
     goal: Vec2,
     obstacles: Sequence[ObstacleView],
-    p: InverseSquareParams,
 ) -> Vec2:
     """Steepest-descent direction -grad(phi) of the inverse-square field.
 
@@ -179,8 +162,8 @@ def inverse_square_gradient(
     2 k_rep (pos - X_o) / (rho^2 (rho + R_obs)) * (1/rho - 1/d0).
     Obstacles farther than d0 contribute nothing.
     """
-    gx = -p.k_att * (pos[0] - goal[0])
-    gy = -p.k_att * (pos[1] - goal[1])
+    gx = -K_ATT * (pos[0] - goal[0])
+    gy = -K_ATT * (pos[1] - goal[1])
     for ob in obstacles:
         dx = pos[0] - ob.position[0]
         dy = pos[1] - ob.position[1]
@@ -188,9 +171,9 @@ def inverse_square_gradient(
         rho = dist - ob.radius
         if rho <= 0.0:
             raise FieldSingularity("vessel inside obstacle disc")
-        if rho > p.d0:
+        if rho > D0:
             continue
-        coef = 2.0 * p.k_rep * (1.0 / rho - 1.0 / p.d0) / (rho * rho * dist)
+        coef = 2.0 * K_REP * (1.0 / rho - 1.0 / D0) / (rho * rho * dist)
         gx += coef * dx
         gy += coef * dy
     return (gx, gy)
@@ -292,17 +275,16 @@ def classify_encounter(own: OwnShip, obs: ObstacleView) -> str:
     return ENCOUNTER_ACTIVE
 
 
-def _in_extremis(sep: float, v_r: float, v_theta: float, p: HarmonicParams) -> bool:
+def _in_extremis(sep: float, v_r: float, v_theta: float) -> bool:
     """True when a passive vessel must act after all: the closing is real,
     the range is short, and the straight-line pass prediction is inside the
     collision radius (the give-way ship has evidently not resolved it)."""
-    if v_r >= 0.0 or sep > p.in_extremis_range:
+    if v_r >= 0.0 or sep > IN_EXTREMIS_RANGE:
         return False
-    return abs(v_theta) * sep / -v_r < p.R_tol_vortex
+    return abs(v_theta) * sep / -v_r < R_TOL_VORTEX
 
 
-def modified_vortex_strength(own: OwnShip, obs: ObstacleView, p: HarmonicParams,
-                             R_safe: float) -> float:
+def modified_vortex_strength(own: OwnShip, obs: ObstacleView, R_safe: float) -> float:
     """Gated vortex strength for one obstacle.
 
     Passive encounter classes (stand-on, being overtaken) keep the vortex
@@ -315,29 +297,30 @@ def modified_vortex_strength(own: OwnShip, obs: ObstacleView, p: HarmonicParams,
     sep, gamma = _range_bearing(own, obs.position)
     v_r, v_theta = radial_tangential(own, obs, gamma)
     if obs.encounter_class != ENCOUNTER_ACTIVE:
-        if not _in_extremis(sep, v_r, v_theta, p):
+        if not _in_extremis(sep, v_r, v_theta):
             return 0.0
     elif abs(gamma) > 5.0 * math.pi / 8.0:
         return 0.0
-    elif v_theta > (-2.0 * p.R_tol_vortex / sep) * v_r:
+    elif v_theta > (-2.0 * R_TOL_VORTEX / sep) * v_r:
         return 0.0
-    return vortex_scale_factor(sep, v_r, R_safe) * p.K_vor0
+    return vortex_scale_factor(sep, v_r, R_safe) * K_VOR0
 
 
 def boundary_source_velocity(pos: Vec2, ch: ChannelBoundary) -> Vec2:
-    """Summed line-source flow from channel walls within activation distance.
+    """Summed line-source flow from channel walls within WALL_ACTIVATION_DISTANCE.
 
-    Each active wall contributes magnitude Lambda_src / (2 pi dist) directed
-    perpendicular to the wall, toward the channel centerline.
+    Each active wall contributes magnitude LAMBDA_SRC / (2 pi dist) directed
+    perpendicular to the wall, toward the channel centerline.  Each wall is
+    measured once, for the containment test and the flow alike.
     """
-    if not ch.contains(pos):
+    distances = ch.wall_distances(pos)
+    if not ch._between(distances):
         raise FieldSingularity("position outside the channel")
     vx = vy = 0.0
-    for ox, oy, tx, ty, nx, ny in ch._walls:
-        dist = abs(-ty * (pos[0] - ox) + tx * (pos[1] - oy))
-        if dist > ch.activation_distance:
+    for dist, (_, _, _, _, nx, ny) in zip(distances, ch._walls):
+        if dist > WALL_ACTIVATION_DISTANCE:
             continue
-        mag = ch.Lambda_src / (TWO_PI * max(dist, 1e-9))
+        mag = LAMBDA_SRC / (TWO_PI * max(dist, 1e-9))
         vx += mag * nx
         vy += mag * ny
     return (vx, vy)
@@ -348,7 +331,6 @@ def desired_heading_harmonic(
     goal: Vec2,
     obstacles: Sequence[ObstacleView],
     boundaries: Optional[ChannelBoundary],
-    p: HarmonicParams,
     R_safe: float,
     modified: bool,
     prev_psi_d: float,
@@ -361,9 +343,9 @@ def desired_heading_harmonic(
     Falls back to ``prev_psi_d`` at stagnation points.
     """
     pos = (own.x, own.y)
-    vx, vy = sink_velocity(pos, goal, p.Lambda_sink)
+    vx, vy = sink_velocity(pos, goal, LAMBDA_SINK)
     for ob in obstacles:
-        K = modified_vortex_strength(own, ob, p, R_safe) if modified else p.K_vor0
+        K = modified_vortex_strength(own, ob, R_safe) if modified else K_VOR0
         if K == 0.0:
             continue
         wx, wy = vortex_velocity(pos, ob.position, K)
@@ -382,13 +364,12 @@ def desired_heading_inverse_square(
     own: OwnShip,
     goal: Vec2,
     obstacles: Sequence[ObstacleView],
-    p: InverseSquareParams,
     prev_psi_d: float,
 ) -> float:
     """Heading of the inverse-square steepest-descent direction; falls back
     to ``prev_psi_d`` at stagnation points."""
     pos = (own.x, own.y)
-    gx, gy = inverse_square_gradient(pos, goal, obstacles, p)
+    gx, gy = inverse_square_gradient(pos, goal, obstacles)
     if math.hypot(gx, gy) < STAGNATION_EPS:
         return prev_psi_d
     return math.atan2(gy, gx)

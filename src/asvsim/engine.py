@@ -10,6 +10,13 @@ independent of agent ordering.  A run ends when every agent has captured
 its final waypoint, any pair breaches the collision threshold, or the time
 budget is exhausted.
 
+A scenario carries five parameters: the VO cone radius (``VOParams``) and
+the step, time budget, detection radius and termination rule
+(``SimConfig``).  The rest of the reference tuning is a module constant
+beside the law that reads it: the ILOS and PD gains in ``guidance``, the
+field gains, ranges and wall sources in ``apf``, the heading search in
+``vo`` and ``COLLISION_THRESHOLD`` here.
+
 The distance observation that opens each step measures every ship-ship
 and ship-static distance once, for the collision and metric bookkeeping,
 and fills the step's distance table: for each agent, the ascending indices
@@ -35,11 +42,9 @@ from struct import Struct
 from typing import Dict, Iterator, List, MutableSequence, NamedTuple, Optional, Tuple
 
 from . import apf, vo
-from .apf import ChannelBoundary, HarmonicParams, InverseSquareParams, ObstacleView, StaticObstacle
+from .apf import ChannelBoundary, ObstacleView, StaticObstacle
 from .frames import Vec2, wrap_angle
 from .guidance import (
-    ILOSParams,
-    PDGains,
     ilos_desired_heading,
     ilos_integrator_derivative,
     pd_rudder_command,
@@ -68,6 +73,9 @@ END_REASONS = (OUTCOME_COLLISION, END_OWN_DONE, END_ALL_DONE, OUTCOME_TIMEOUT, O
 # Cap on |u| that catches integrator blow-up.
 U_CAP = 2.0
 
+#: a ship-ship distance or a ship-static clearance below this (L) is a collision
+COLLISION_THRESHOLD = 2.0
+
 #: doubles per recorded agent-step, in trajectory-CSV column order without
 #: the agent id: t, x, y, psi, u, v, r, delta, delta_c, psi_d, mode, y_e
 ROW_LEN = 12
@@ -85,8 +93,8 @@ class SimConfig:
     """Simulation loop configuration.
 
     ``termination`` selects the stopping rule: "all" ends the run when
-    every agent has captured its final waypoint, any pair breaches the
-    collision threshold, or time runs out; "own" (the statistical-study
+    every agent has captured its final waypoint, any pair breaches
+    ``COLLISION_THRESHOLD``, or time runs out; "own" (the statistical-study
     protocol) ends it when the own ship (lowest id) succeeds or collides,
     with third-party collisions recorded but non-terminal.
 
@@ -97,15 +105,14 @@ class SimConfig:
 
     dt: float = 0.1
     max_time: float = 400.0
-    collision_threshold: float = 2.0
     R_safe: float = 15.0
     termination: str = "all"
 
     def __post_init__(self):
         if not 0.0 < self.dt < self.max_time < math.inf:
             raise ValueError("need dt > 0 and max_time > dt")
-        if not (0.0 < self.R_safe < math.inf and 0.0 < self.collision_threshold < math.inf):
-            raise ValueError("R_safe and collision_threshold must be > 0")
+        if not 0.0 < self.R_safe < math.inf:
+            raise ValueError("R_safe must be > 0")
         if self.termination not in ("all", "own"):
             raise ValueError("termination must be 'all' or 'own'")
 
@@ -147,10 +154,6 @@ class Scenario:
     agents: List[AgentSpec]
     static_obstacles: List[StaticObstacle] = field(default_factory=list)
     channel: Optional[ChannelBoundary] = None
-    ilos: ILOSParams = field(default_factory=ILOSParams)
-    gains: PDGains = field(default_factory=PDGains)
-    inverse_params: InverseSquareParams = field(default_factory=InverseSquareParams)
-    harmonic_params: HarmonicParams = field(default_factory=HarmonicParams)
     vo_params: VOParams = field(default_factory=VOParams)
     config: SimConfig = field(default_factory=SimConfig)
     name: str = ""
@@ -325,7 +328,7 @@ class World:
         """
         ags = self.agents
         R_safe = self.cfg.R_safe
-        threshold = self.cfg.collision_threshold
+        threshold = COLLISION_THRESHOLD
         hypot = math.hypot
         static_views = self._static_views
         n = len(ags)
@@ -369,19 +372,15 @@ class World:
     def _guidance_and_control(self) -> None:
         """Compute commands for every agent from the step's start state,
         record rows, accumulate metric integrals."""
-        scn = self.scenario
         dt = self.cfg.dt
         t = self.t
-        ilos = scn.ilos
-        R_tol = ilos.R_tol
-        gains = scn.gains
         views_in_range = self._views_in_range
         for idx, ag in enumerate(self.agents):
             pos = (ag.x, ag.y)
 
             if not ag.done:
                 k = ag.k
-                if should_switch_waypoint(pos, ag.waypoints[k + 1], R_tol):
+                if should_switch_waypoint(pos, ag.waypoints[k + 1]):
                     ag.y_int = 0.0
                     if k + 2 == len(ag.waypoints):
                         ag.done = True
@@ -411,10 +410,10 @@ class World:
                 if ag.done:
                     psi_d = ag.frozen_psi_d
                 else:
-                    psi_d = ilos_desired_heading(ag.frame.angle, y_e, ag.y_int, ilos)
-                    ag.y_int += dt * ilos_integrator_derivative(y_e, ag.y_int, ilos)
+                    psi_d = ilos_desired_heading(ag.frame.angle, y_e, ag.y_int)
+                    ag.y_int += dt * ilos_integrator_derivative(y_e, ag.y_int)
 
-            ag.last_delta_c = pd_rudder_command(ag.psi, psi_d, ag.r, gains)
+            ag.last_delta_c = pd_rudder_command(ag.psi, psi_d, ag.r)
             ag.last_psi_d = psi_d
             ag.last_mode = mode
             self._observe_row(ag, y_e)
@@ -487,11 +486,10 @@ class World:
         else:
             t0 = time.perf_counter_ns()
             if method == "apf_inverse":
-                psi_d = apf.desired_heading_inverse_square(
-                    ag, goal, views, scn.inverse_params, ag.last_psi_d)
+                psi_d = apf.desired_heading_inverse_square(ag, goal, views, ag.last_psi_d)
             else:
                 psi_d = apf.desired_heading_harmonic(
-                    ag, goal, views, scn.channel, scn.harmonic_params, self.cfg.R_safe,
+                    ag, goal, views, scn.channel, self.cfg.R_safe,
                     method == "apf_mvortex", ag.last_psi_d)
         self.guidance_ns += time.perf_counter_ns() - t0
         self.guidance_calls += 1

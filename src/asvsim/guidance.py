@@ -9,46 +9,22 @@ wrapped heading error to a commanded rudder angle, clamped at 35 degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .frames import Vec2, wrap_angle
 from .mmg import DELTA_MAX
 
-
-@dataclass(frozen=True)
-class ILOSParams:
-    """Guidance parameters; defaults reproduce the reference tuning.
-
-    The gains Kp_g = 1 / Delta and Ki_g = k_factor * Kp_g are derived once,
-    on construction.
-    """
-
-    Delta: float = 2.0
-    k_factor: float = 0.05
-    R_tol: float = 3.0
-    Kp_g: float = field(init=False, repr=False, compare=False)
-    Ki_g: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not (0.0 < self.Delta < math.inf and 0.0 < self.R_tol < math.inf):
-            raise ValueError("Delta and R_tol must be > 0")
-        if not math.isfinite(self.k_factor):
-            raise ValueError("k_factor must be finite")
-        object.__setattr__(self, "Kp_g", 1.0 / self.Delta)
-        object.__setattr__(self, "Ki_g", self.k_factor * self.Kp_g)
-
-
-@dataclass(frozen=True)
-class PDGains:
-    """Proportional and derivative gains of the heading controller, each in (0, inf)."""
-
-    Kp_c: float = 3.5
-    Kd_c: float = 4.0
-
-    def __post_init__(self):
-        if not (0.0 < self.Kp_c < math.inf and 0.0 < self.Kd_c < math.inf):
-            raise ValueError("PD gains must be > 0")
+#: ILOS look-ahead distance Delta (L), integral factor k and waypoint
+#: switching radius R_tol (L) of the reference tuning
+DELTA = 2.0
+K_FACTOR = 0.05
+R_TOL = 3.0
+#: ILOS gains Kp_g = 1 / Delta and Ki_g = k * Kp_g
+KP_G = 1.0 / DELTA
+KI_G = K_FACTOR * KP_G
+#: proportional and derivative gains of the PD heading controller
+KP_C = 3.5
+KD_C = 4.0
 
 
 class SegmentFrame(NamedTuple):
@@ -76,27 +52,26 @@ def track_errors(pos: Vec2, frame: SegmentFrame) -> tuple:
     return (c * rx + s * ry, -s * rx + c * ry)
 
 
-def ilos_desired_heading(pi_p: float, y_e: float, y_int: float, p: ILOSParams) -> float:
+def ilos_desired_heading(pi_p: float, y_e: float, y_int: float) -> float:
     """psi_d = pi_p - atan(Kp*y_e + Ki*y_int), wrapped to (-pi, pi]."""
-    return wrap_angle(pi_p - math.atan(p.Kp_g * y_e + p.Ki_g * y_int))
+    return wrap_angle(pi_p - math.atan(KP_G * y_e + KI_G * y_int))
 
 
-def ilos_integrator_derivative(y_e: float, y_int: float, p: ILOSParams) -> float:
+def ilos_integrator_derivative(y_e: float, y_int: float) -> float:
     """Anti-windup integrator dynamics for the cross-track integral state."""
-    D = p.Delta
-    s = y_e + p.k_factor * y_int
-    return D * y_e / (D * D + s * s)
+    s = y_e + K_FACTOR * y_int
+    return DELTA * y_e / (DELTA * DELTA + s * s)
 
 
-def should_switch_waypoint(pos: Vec2, wp_k1: Vec2, R_tol: float) -> bool:
-    """True once the vessel is within (<=) the switching radius of the target."""
-    return math.hypot(wp_k1[0] - pos[0], wp_k1[1] - pos[1]) <= R_tol
+def should_switch_waypoint(pos: Vec2, wp_k1: Vec2) -> bool:
+    """True once the vessel is within (<=) the switching radius R_TOL of the target."""
+    return math.hypot(wp_k1[0] - pos[0], wp_k1[1] - pos[1]) <= R_TOL
 
 
-def pd_rudder_command(psi: float, psi_d: float, r: float, g: PDGains) -> float:
+def pd_rudder_command(psi: float, psi_d: float, r: float) -> float:
     """Commanded rudder from wrapped heading error; clamped at DELTA_MAX."""
     e = wrap_angle(psi - psi_d)
-    delta_c = -g.Kp_c * e - g.Kd_c * r
+    delta_c = -KP_C * e - KD_C * r
     if delta_c > DELTA_MAX:
         return DELTA_MAX
     if delta_c < -DELTA_MAX:

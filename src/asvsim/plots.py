@@ -8,16 +8,10 @@ import math
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .apf import (
-    HarmonicParams,
-    InverseSquareParams,
-    ObstacleView,
-    OwnShip,
-    desired_heading_harmonic,
-    desired_heading_inverse_square,
-)
-from .engine import Scenario
+from .apf import ObstacleView, OwnShip, desired_heading_harmonic, desired_heading_inverse_square
+from .engine import COLLISION_THRESHOLD, Scenario
 from .frames import Vec2
+from .guidance import R_TOL
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
@@ -159,12 +153,12 @@ def plot_paths(rows_by_agent: Dict[int, List[tuple]], scenario: Optional[Scenari
             canvas.circle(o.center[0], o.center[1], o.R_obs, color="#d62728",
                           fill="#d62728", cls="obstacle")
             canvas.circle(o.center[0], o.center[1],
-                          scenario.config.collision_threshold + o.R_obs, color="#d62728",
+                          COLLISION_THRESHOLD + o.R_obs, color="#d62728",
                           dash="4,4", cls="obstacle-threshold")
         for a in scenario.agents:
             for w in a.waypoints:
                 canvas.dot(w[0], w[1], r_px=4, color="#000", cls="waypoint")
-                canvas.circle(w[0], w[1], scenario.ilos.R_tol, color="#888", dash="3,5",
+                canvas.circle(w[0], w[1], R_TOL, color="#888", dash="3,5",
                               cls="waypoint-tolerance")
     for i, (aid, rows) in enumerate(sorted(rows_by_agent.items())):
         color = PALETTE[i % len(PALETTE)]
@@ -267,8 +261,6 @@ def sample_field(kind: str) -> List[Tuple[float, float, float, float]]:
     reference field plots)."""
     if kind not in FIELD_KINDS:
         raise ValueError(f"unknown field kind {kind!r}; expected one of {FIELD_KINDS}")
-    inverse = InverseSquareParams()
-    harmonic = HarmonicParams()
     R_safe = 1e9  # field plots show the full domain
     arrows = []
     goal, obstacle, half, n = FIELD_GOAL, FIELD_OBSTACLE, FIELD_HALF_EXTENT, FIELD_GRID_N
@@ -284,9 +276,9 @@ def sample_field(kind: str) -> List[Tuple[float, float, float, float]]:
                 continue
             own = OwnShip(x, y, 0.0, 1.0, 0.0)
             if kind == "inverse":
-                psi = desired_heading_inverse_square(own, goal, obstacles, inverse, own.psi)
+                psi = desired_heading_inverse_square(own, goal, obstacles, own.psi)
             else:
-                psi = desired_heading_harmonic(own, goal, obstacles, None, harmonic, R_safe,
+                psi = desired_heading_harmonic(own, goal, obstacles, None, R_safe,
                                                kind == "mvortex", own.psi)
             arrows.append((x, y, math.cos(psi), math.sin(psi)))
     return arrows

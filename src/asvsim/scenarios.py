@@ -91,8 +91,7 @@ def narrow_channel(method: str = "apf_mvortex") -> Scenario:
         (p0[0] - ext * tx + sign * half * nx, p0[1] - ext * ty + sign * half * ny),
         (p1[0] + ext * tx + sign * half * nx, p1[1] + ext * ty + sign * half * ny),
     )
-    channel = ChannelBoundary(boundary_a=wall(+1.0), boundary_b=wall(-1.0),
-                              activation_distance=2.0, Lambda_src=10.0)
+    channel = ChannelBoundary(boundary_a=wall(+1.0), boundary_b=wall(-1.0))
     heading = math.atan2(dy, dx)
     a = AgentSpec(id=0, start=p0, heading=heading, speed=1.0,
                   waypoints=(p1,), method=method)

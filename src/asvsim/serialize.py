@@ -1,7 +1,11 @@
 """Scenario/result file formats.
 
-* scenario JSON ("scenario-1"): agents, static obstacles, optional channel,
-  parameter overrides; unknown fields are rejected with their path.
+* scenario JSON ("scenario-1"): agents, static obstacles, optional channel
+  walls and five parameter overrides (``PARAMETERS``): ``vo.cone_radius``
+  and ``sim.dt``, ``sim.max_time``, ``sim.r_safe`` and ``sim.termination``.
+  The rest of the reference tuning is module constants (``guidance``,
+  ``apf``, ``vo``, ``engine``), which no file sets; unknown fields are
+  rejected with their path.
 * trajectory CSV: one row per agent per step, fixed column order.
 * result JSON ("result-1") and batch summary JSON ("batch-summary-1"):
   wall-clock timing is kept out of the summary so identical seeds produce
@@ -14,9 +18,8 @@ import json
 import math
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from .apf import ChannelBoundary, HarmonicParams, InverseSquareParams, StaticObstacle
+from .apf import ChannelBoundary, StaticObstacle
 from .engine import METHODS, AgentSpec, Scenario, SimConfig, SimResult, track_rows
-from .guidance import ILOSParams, PDGains
 from .vo import VOParams
 
 if TYPE_CHECKING:  # annotations only: the scenario path does not load montecarlo
@@ -53,49 +56,25 @@ def _check_keys(doc: dict, allowed: set, path: str):
         _fail(path, f"unknown field(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
-NUMBER, POSITIVE, DEGREES = "number", "positive", "degrees"
+NUMBER, POSITIVE = "number", "positive"
 
 #: Every parameter a scenario file may set, by Scenario attribute:
 #: (JSON block, dataclass, {JSON key: (dataclass field, kind)}).  A kind is
-#: NUMBER, POSITIVE (> 0), DEGREES (> 0, in degrees in the file and in
-#: radians in the dataclass), or a tuple of the allowed strings.
+#: NUMBER, POSITIVE (> 0) or a tuple of the allowed strings.
 #: Absent keys take the dataclass default, so the defaults live only there.
 PARAMETERS = {
-    "ilos": ("guidance", ILOSParams, {
-        "delta": ("Delta", POSITIVE),
-        "k_factor": ("k_factor", NUMBER),
-        "r_tol": ("R_tol", POSITIVE)}),
-    "gains": ("control", PDGains, {
-        "kp": ("Kp_c", POSITIVE),
-        "kd": ("Kd_c", POSITIVE)}),
-    "inverse_params": ("apf", InverseSquareParams, {
-        "k_att": ("k_att", POSITIVE),
-        "k_rep": ("k_rep", POSITIVE),
-        "d0": ("d0", POSITIVE)}),
-    "harmonic_params": ("apf", HarmonicParams, {
-        "lambda_sink": ("Lambda_sink", NUMBER),
-        "k_vor0": ("K_vor0", NUMBER),
-        "r_tol_vortex": ("R_tol_vortex", POSITIVE),
-        "in_extremis_range": ("in_extremis_range", POSITIVE)}),
     "vo_params": ("vo", VOParams, {
-        "cone_radius": ("cone_radius", POSITIVE),
-        "heading_resolution_deg": ("heading_resolution", DEGREES),
-        "max_course_change_deg": ("max_course_change", DEGREES)}),
+        "cone_radius": ("cone_radius", POSITIVE)}),
     "config": ("sim", SimConfig, {
         "dt": ("dt", POSITIVE),
         "max_time": ("max_time", POSITIVE),
-        "collision_threshold": ("collision_threshold", POSITIVE),
         "r_safe": ("R_safe", POSITIVE),
         "termination": ("termination", ("all", "own"))}),
-    "channel": ("channel", ChannelBoundary, {
-        "activation_distance": ("activation_distance", POSITIVE),
-        "source_strength": ("Lambda_src", POSITIVE)}),
 }
 
-#: allowed keys of each parameter block (the channel also has its walls)
-_BLOCK_KEYS: Dict[str, set] = {"channel": {"boundary_a", "boundary_b"}}
-for _block, _, _keys in PARAMETERS.values():
-    _BLOCK_KEYS.setdefault(_block, set()).update(_keys)
+#: allowed keys of each block: the parameter blocks and the channel's walls
+_BLOCK_KEYS: Dict[str, set] = {block: set(keys) for block, _, keys in PARAMETERS.values()}
+_BLOCK_KEYS["channel"] = {"boundary_a", "boundary_b"}
 
 
 def _value(v, path: str, kind):
@@ -108,14 +87,14 @@ def _value(v, path: str, kind):
         _fail(path, "must be a finite number")
     if kind != NUMBER and v <= 0:
         _fail(path, "must be > 0")
-    return math.radians(v) if kind == DEGREES else float(v)
+    return float(v)
 
 
 def _number(doc: dict, key: str, path: str, default: float) -> float:
     return _value(doc[key], f"{path}.{key}", NUMBER) if key in doc else default
 
 
-def _params(doc: dict, attr: str, **extra):
+def _params(doc: dict, attr: str):
     """The parameter dataclass of one Scenario attribute, built from the
     keys of its block that the document sets."""
     block, cls, keys = PARAMETERS[attr]
@@ -123,7 +102,7 @@ def _params(doc: dict, attr: str, **extra):
     kwargs = {name: _value(block_doc[key], f"{block}.{key}", kind)
               for key, (name, kind) in keys.items() if key in block_doc}
     try:
-        return cls(**kwargs, **extra)
+        return cls(**kwargs)
     except ValueError as exc:
         _fail(block, str(exc))
 
@@ -200,7 +179,7 @@ def parse_scenario(doc: dict) -> Scenario:
             if not isinstance(doc[block], dict):
                 _fail(block, "must be an object")
             _check_keys(doc[block], allowed, block)
-    params = {attr: _params(doc, attr) for attr in PARAMETERS if attr != "channel"}
+    params = {attr: _params(doc, attr) for attr in PARAMETERS}
 
     channel = None
     if "channel" in doc:
@@ -209,9 +188,12 @@ def parse_scenario(doc: dict) -> Scenario:
             if not isinstance(v, (list, tuple)) or len(v) != 2:
                 _fail(path, "must be a [[x, y], [x, y]] segment")
             return (_point(v[0], f"{path}[0]"), _point(v[1], f"{path}[1]"))
-        channel = _params(doc, "channel",
-                          boundary_a=_segment(ch_doc.get("boundary_a"), "channel.boundary_a"),
-                          boundary_b=_segment(ch_doc.get("boundary_b"), "channel.boundary_b"))
+        walls = (_segment(ch_doc.get("boundary_a"), "channel.boundary_a"),
+                 _segment(ch_doc.get("boundary_b"), "channel.boundary_b"))
+        try:
+            channel = ChannelBoundary(*walls)
+        except ValueError as exc:
+            _fail("channel", str(exc))
 
     name = doc.get("name", "")
     if not isinstance(name, str):
@@ -231,6 +213,8 @@ def load_scenario(path: str) -> Scenario:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path}: not UTF-8 text: {exc}") from exc
     return parse_scenario(doc)
 
 
@@ -250,15 +234,10 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
     for attr, (block, _, keys) in PARAMETERS.items():
         params = getattr(sc, attr)
-        if params is None:  # no channel
-            continue
-        out = doc.setdefault(block, {})
-        for key, (name, kind) in keys.items():
-            v = getattr(params, name)
-            out[key] = math.degrees(v) if kind == DEGREES else v
+        doc[block] = {key: getattr(params, name) for key, (name, _) in keys.items()}
     if sc.channel is not None:
-        doc["channel"]["boundary_a"] = [list(p) for p in sc.channel.boundary_a]
-        doc["channel"]["boundary_b"] = [list(p) for p in sc.channel.boundary_b]
+        doc["channel"] = {"boundary_a": [list(p) for p in sc.channel.boundary_a],
+                          "boundary_b": [list(p) for p in sc.channel.boundary_b]}
     return doc
 
 
@@ -307,10 +286,13 @@ def read_trajectory_csv(path: str) -> Dict[int, List[tuple]]:
             if len(rec) != len(CSV_COLUMNS):
                 raise ValueError(f"{path}: line {reader.line_num}: expected "
                                  f"{len(CSV_COLUMNS)} fields, got {len(rec)}")
-            aid = int(rec[1])
-            row = (float(rec[0]), float(rec[2]), float(rec[3]), float(rec[4]),
-                   float(rec[5]), float(rec[6]), float(rec[7]), float(rec[8]),
-                   float(rec[9]), float(rec[10]), int(rec[11]), float(rec[12]))
+            try:
+                aid = int(rec[1])
+                row = (float(rec[0]), float(rec[2]), float(rec[3]), float(rec[4]),
+                       float(rec[5]), float(rec[6]), float(rec[7]), float(rec[8]),
+                       float(rec[9]), float(rec[10]), int(rec[11]), float(rec[12]))
+            except ValueError as exc:  # a field that is not a number of its column
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
             out.setdefault(aid, []).append(row)
     if not out:
         raise ValueError(f"{path}: trajectory CSV has no rows")

@@ -18,20 +18,24 @@ from .apf import FieldSingularity, ObstacleView
 from .frames import Vec2
 
 
+#: heading search: candidate spacing, and the largest course change from
+#: the goal bearing, which the search reaches in N_HEADING_STEPS steps a side
+HEADING_RESOLUTION = math.radians(1.0)
+MAX_COURSE_CHANGE = math.radians(90.0)
+N_HEADING_STEPS = int(round(MAX_COURSE_CHANGE / HEADING_RESOLUTION))
+
+
 @dataclass(frozen=True)
 class VOParams:
-    """Cone radius and heading search of the velocity obstacle, each in (0, inf)."""
+    """Cone radius of the velocity obstacle, in (0, inf)."""
 
     # cone disc calibrated so that mutual VO encounters pass at about six
     # ship lengths, matching the reference head-on/crossing behavior
     cone_radius: float = 6.0
-    heading_resolution: float = math.radians(1.0)
-    max_course_change: float = math.radians(90.0)
 
     def __post_init__(self):
-        if not (0.0 < self.cone_radius < math.inf and 0.0 < self.heading_resolution < math.inf
-                and 0.0 < self.max_course_change < math.inf):
-            raise ValueError("cone_radius, resolution and max course change must be > 0")
+        if not 0.0 < self.cone_radius < math.inf:
+            raise ValueError("cone_radius must be > 0")
 
 
 @dataclass(frozen=True)
@@ -118,12 +122,11 @@ def vo_desired_heading(
              for obs in views]
     tests = [cone.forbids for cone in cones if cone is not None]
 
-    n_steps = int(round(p.max_course_change / p.heading_resolution))
     best_heading = goal_bearing
     best_violations = len(tests) + 1  # worse than any candidate
-    for i in range(0, n_steps + 1):
-        offsets = (i * p.heading_resolution,) if i == 0 else (
-            i * p.heading_resolution, -i * p.heading_resolution)
+    for i in range(0, N_HEADING_STEPS + 1):
+        offsets = (i * HEADING_RESOLUTION,) if i == 0 else (
+            i * HEADING_RESOLUTION, -i * HEADING_RESOLUTION)
         for off in offsets:
             heading = goal_bearing + off
             w = (own_speed * math.cos(heading), own_speed * math.sin(heading))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from asvsim import apf, scenarios
-from asvsim.apf import HarmonicParams, InverseSquareParams, ObstacleView
+from asvsim.apf import ObstacleView
 from asvsim.cli import main
 from asvsim.engine import MODE_REACTIVE, World, run
 from asvsim.frames import wrap_angle
@@ -85,15 +85,14 @@ def test_criterion_02_gradient_oracle():
     """Analytic inverse-square gradient vs central finite differences."""
     t0 = time.time()
     rng = np.random.default_rng(MASTER_SEED)
-    p = InverseSquareParams()
     h = 1e-5
 
     def potential(pos, goal, obstacles):
-        phi = 0.5 * p.k_att * ((pos[0] - goal[0]) ** 2 + (pos[1] - goal[1]) ** 2)
+        phi = 0.5 * apf.K_ATT * ((pos[0] - goal[0]) ** 2 + (pos[1] - goal[1]) ** 2)
         for ob in obstacles:
             rho = math.hypot(pos[0] - ob.position[0], pos[1] - ob.position[1]) - ob.radius
-            if rho <= p.d0:
-                phi += p.k_rep * (1.0 / rho - 1.0 / p.d0) ** 2
+            if rho <= apf.D0:
+                phi += apf.K_REP * (1.0 / rho - 1.0 / apf.D0) ** 2
         return phi
 
     checked = 0
@@ -109,7 +108,7 @@ def test_criterion_02_gradient_oracle():
             continue
         if math.hypot(pos[0] - goal[0], pos[1] - goal[1]) < 2.0:
             continue
-        ga = apf.inverse_square_gradient(pos, goal, obstacles, p)
+        ga = apf.inverse_square_gradient(pos, goal, obstacles)
         gf = (-(potential((pos[0] + h, pos[1]), goal, obstacles)
                 - potential((pos[0] - h, pos[1]), goal, obstacles)) / (2 * h),
               -(potential((pos[0], pos[1] + h), goal, obstacles)
@@ -191,7 +190,6 @@ def test_criterion_06_colregs_suite(model):
 
     # Rule 13: overtaking, with the overtaken vessel's vortex logged per step
     world = World(scenarios.overtaking("apf_mvortex"), model=model, record=False)
-    hp = world.scenario.harmonic_params
     max_overtaken_K = 0.0
     while world.step():
         a, b = world.agents
@@ -201,7 +199,7 @@ def test_criterion_06_colregs_suite(model):
                 velocity_global=(math.cos(a.psi) * a.u - math.sin(a.psi) * a.v,
                                  math.sin(a.psi) * a.u + math.cos(a.psi) * a.v),
                 encounter_class=b.encounters.get(0, apf.ENCOUNTER_ACTIVE))
-            K = apf.modified_vortex_strength(b, view, hp, world.cfg.R_safe)
+            K = apf.modified_vortex_strength(b, view, world.cfg.R_safe)
             max_overtaken_K = max(max_overtaken_K, abs(K))
     res = world.result()
     assert res.outcomes == ["success", "success"]
@@ -252,7 +250,7 @@ def test_criterion_09_narrow_channel(model):
     for rows in res.trajectories:
         for r in rows:
             assert sc.channel.contains((r[1], r[2]))
-            da, db = sc.channel.signed_offsets((r[1], r[2]))
+            da, db = sc.channel.wall_distances((r[1], r[2]))
             min_wall = min(min_wall, da, db)
     assert min_wall > 0.0
     elapsed = time.time() - t0

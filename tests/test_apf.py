@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asvsim.apf import (
+    D0,
     ENCOUNTER_ACTIVE,
     ENCOUNTER_OVERTAKEN,
     ENCOUNTER_STAND_ON,
     ChannelBoundary,
     FieldSingularity,
-    HarmonicParams,
-    InverseSquareParams,
+    K_ATT,
+    K_REP,
+    K_VOR0,
+    LAMBDA_SINK,
     ObstacleView,
     OwnShip,
     StaticObstacle,
@@ -45,31 +48,30 @@ def static_view(pos, radius=0.5):
     return ObstacleView(position=pos, velocity_global=(0.0, 0.0), radius=radius)
 
 
-def potential(pos, goal, obstacles, p):
+def potential(pos, goal, obstacles):
     """Test-local potential; the gradient implementation is checked against
     finite differences of this function."""
-    phi = 0.5 * p.k_att * ((pos[0] - goal[0]) ** 2 + (pos[1] - goal[1]) ** 2)
+    phi = 0.5 * K_ATT * ((pos[0] - goal[0]) ** 2 + (pos[1] - goal[1]) ** 2)
     for ob in obstacles:
         rho = math.hypot(pos[0] - ob.position[0], pos[1] - ob.position[1]) - ob.radius
-        if rho <= p.d0:
-            phi += p.k_rep * (1.0 / rho - 1.0 / p.d0) ** 2
+        if rho <= D0:
+            phi += K_REP * (1.0 / rho - 1.0 / D0) ** 2
     return phi
 
 
-def fd_gradient(pos, goal, obstacles, p, h=1e-5):
-    gx = (potential((pos[0] + h, pos[1]), goal, obstacles, p)
-          - potential((pos[0] - h, pos[1]), goal, obstacles, p)) / (2 * h)
-    gy = (potential((pos[0], pos[1] + h), goal, obstacles, p)
-          - potential((pos[0], pos[1] - h), goal, obstacles, p)) / (2 * h)
+def fd_gradient(pos, goal, obstacles, h=1e-5):
+    gx = (potential((pos[0] + h, pos[1]), goal, obstacles)
+          - potential((pos[0] - h, pos[1]), goal, obstacles)) / (2 * h)
+    gy = (potential((pos[0], pos[1] + h), goal, obstacles)
+          - potential((pos[0], pos[1] - h), goal, obstacles)) / (2 * h)
     return (-gx, -gy)
 
 
 @pytest.mark.parametrize("build", [
     lambda: StaticObstacle(center=(0.0, 0.0), R_obs=0.0),
-    lambda: HarmonicParams(Lambda_sink=0.0),
     lambda: StaticObstacle(center=(0.0, 0.0), R_obs=math.nan),
     lambda: StaticObstacle(center=(0.0, 0.0), R_obs=math.inf),
-], ids=["static_radius_zero", "sink_strength_zero", "static_radius_nan", "static_radius_inf"])
+], ids=["static_radius_zero", "static_radius_nan", "static_radius_inf"])
 def test_invalid_parameters_rejected(build):
     with pytest.raises(ValueError):
         build()
@@ -77,18 +79,16 @@ def test_invalid_parameters_rejected(build):
 
 class TestInverseSquareGradient:
     def test_zero_at_goal_without_obstacles(self):
-        p = InverseSquareParams()
-        assert inverse_square_gradient((3, 4), (3, 4), [], p) == (0.0, 0.0)
+        assert inverse_square_gradient((3, 4), (3, 4), []) == (0.0, 0.0)
 
     def test_obstacle_beyond_influence_ignored(self):
-        p = InverseSquareParams(d0=15.0)
-        g_with = inverse_square_gradient((0, 0), (10, 0), [static_view((0, 20))], p)
-        g_free = inverse_square_gradient((0, 0), (10, 0), [], p)
+        # 19.5 L of clearance, beyond the influence distance d0 = 15 L
+        g_with = inverse_square_gradient((0, 0), (10, 0), [static_view((0, 20))])
+        g_free = inverse_square_gradient((0, 0), (10, 0), [])
         assert g_with == g_free
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(42)
-        p = InverseSquareParams()
         for _ in range(50):
             goal = tuple(rng.uniform(-30, 30, 2))
             obstacles = [static_view(tuple(rng.uniform(-30, 30, 2)))
@@ -99,15 +99,14 @@ class TestInverseSquareGradient:
                 continue
             if math.hypot(pos[0] - goal[0], pos[1] - goal[1]) < 2.0:
                 continue
-            ga = inverse_square_gradient(pos, goal, obstacles, p)
-            gf = fd_gradient(pos, goal, obstacles, p)
+            ga = inverse_square_gradient(pos, goal, obstacles)
+            gf = fd_gradient(pos, goal, obstacles)
             scale = max(math.hypot(*ga), math.hypot(*gf), 1.0)
             assert math.hypot(ga[0] - gf[0], ga[1] - gf[1]) / scale < 1e-5
 
     def test_inside_obstacle_reported(self):
-        p = InverseSquareParams()
         with pytest.raises(FieldSingularity):
-            inverse_square_gradient((0, 0), (10, 0), [static_view((0.2, 0.0))], p)
+            inverse_square_gradient((0, 0), (10, 0), [static_view((0.2, 0.0))])
 
 
 class TestHarmonicFlows:
@@ -242,44 +241,42 @@ class TestVortexGate:
         own = own_state()
         obs = dynamic_view((-5.0, 5.0), (1.0, 0.0))  # bearing 3*pi/4 abaft
         assert abs(bearing_gamma(own, obs.position)) == pytest.approx(3 * math.pi / 4)
-        assert modified_vortex_strength(own, obs, HarmonicParams(), R_SAFE) == 0.0
+        assert modified_vortex_strength(own, obs, R_SAFE) == 0.0
 
     def test_head_on_static_active(self):
         # gamma=0, v_r=-1, v_theta=0, separation 10, R_tol=3: threshold 0.6,
         # 0 is not greater than 0.6, so the vortex fires with f = 2 - 10/15 + 1
         own = own_state(u=1.0)
         obs = static_view((10.0, 0.0), radius=0.5)
-        p = HarmonicParams()
-        K = modified_vortex_strength(own, obs, p, R_SAFE)
+        K = modified_vortex_strength(own, obs, R_SAFE)
         f = vortex_scale_factor(10.0, -1.0, R_SAFE)
-        assert K == pytest.approx(f * p.K_vor0)
+        assert K == pytest.approx(f * K_VOR0)
         assert K < 0.0
 
     def test_passing_clear_gated(self):
         # strongly positive transversal rate: target sliding clear
         own = own_state(u=1.0)
         obs = dynamic_view((10.0, 0.0), (1.0, 3.0))
-        assert modified_vortex_strength(own, obs, HarmonicParams(), R_SAFE) == 0.0
+        assert modified_vortex_strength(own, obs, R_SAFE) == 0.0
 
     def test_stand_on_class_passive(self):
         own = own_state(u=1.0)
         obs = dynamic_view((10.0, -10.0), (0.0, 1.0), encounter=ENCOUNTER_STAND_ON)
-        assert modified_vortex_strength(own, obs, HarmonicParams(), R_SAFE) == 0.0
+        assert modified_vortex_strength(own, obs, R_SAFE) == 0.0
 
     def test_stand_on_in_extremis_override(self):
         # give-way ship never acted: collision course inside the in-extremis
         # range forces the vortex back on
         own = own_state(u=1.0)
         obs = dynamic_view((8.0, 0.0), (-1.0, 0.0), encounter=ENCOUNTER_STAND_ON)
-        assert modified_vortex_strength(own, obs, HarmonicParams(), R_SAFE) != 0.0
+        assert modified_vortex_strength(own, obs, R_SAFE) != 0.0
 
     def test_gate_monotone_in_separation(self):
         own = own_state(u=1.0)
-        p = HarmonicParams()
         strengths = []
         for d in (14.0, 12.0, 10.0, 8.0, 6.0, 4.0):
             obs = static_view((d, 0.0))
-            strengths.append(abs(modified_vortex_strength(own, obs, p, R_SAFE)))
+            strengths.append(abs(modified_vortex_strength(own, obs, R_SAFE)))
         assert all(b >= a for a, b in zip(strengths, strengths[1:]))
 
     @given(bearing=st.floats(5 * math.pi / 8 + 0.01, math.pi),
@@ -289,7 +286,7 @@ class TestVortexGate:
         own = own_state(u=1.0)
         ang = side * bearing
         obs = static_view((dist * math.cos(ang), dist * math.sin(ang)))
-        assert modified_vortex_strength(own, obs, HarmonicParams(), R_SAFE) == 0.0
+        assert modified_vortex_strength(own, obs, R_SAFE) == 0.0
 
 
 class TestScaleFactor:
@@ -337,11 +334,10 @@ class TestEncounterClassification:
 
 
 class TestBoundarySources:
-    def channel(self, width=10.0, Lambda=10.0, activation=2.0):
+    def channel(self, width=10.0):
         return ChannelBoundary(
             boundary_a=((0.0, width / 2), (100.0, width / 2)),
-            boundary_b=((0.0, -width / 2), (100.0, -width / 2)),
-            activation_distance=activation, Lambda_src=Lambda)
+            boundary_b=((0.0, -width / 2), (100.0, -width / 2)))
 
     def test_centerline_of_wide_channel_is_free(self):
         ch = self.channel(width=10.0)
@@ -373,23 +369,22 @@ class TestBoundarySources:
 class TestDesiredHeadings:
     def test_harmonic_points_at_goal_without_obstacles(self):
         psi_d = desired_heading_harmonic(own_state(), (10.0, 10.0), [], None,
-                                         HarmonicParams(), R_SAFE, True, 0.0)
+                                         R_SAFE, True, 0.0)
         assert psi_d == pytest.approx(math.pi / 4)
 
     def test_harmonic_deflects_starboard_for_head_on_obstacle(self):
         own = own_state(u=1.0)
         obs = static_view((10.0, 0.0))
-        psi_d = desired_heading_harmonic(own, (25.0, 0.0), [obs], None, HarmonicParams(),
-                                         R_SAFE, True, own.psi)
+        psi_d = desired_heading_harmonic(own, (25.0, 0.0), [obs], None, R_SAFE, True,
+                                         own.psi)
         assert psi_d > 0.0
 
     def test_gated_vortex_equals_sink_only(self):
         own = own_state(u=1.0)
         obs = dynamic_view((-5.0, 5.0), (1.0, 0.0))  # abaft: gated to zero
-        p = HarmonicParams()
-        with_obs = desired_heading_harmonic(own, (25.0, 0.0), [obs], None, p, R_SAFE,
+        with_obs = desired_heading_harmonic(own, (25.0, 0.0), [obs], None, R_SAFE,
                                             True, own.psi)
-        sink_only = desired_heading_harmonic(own, (25.0, 0.0), [], None, p, R_SAFE,
+        sink_only = desired_heading_harmonic(own, (25.0, 0.0), [], None, R_SAFE,
                                              True, own.psi)
         assert with_obs == sink_only
 
@@ -399,31 +394,28 @@ class TestDesiredHeadings:
         # at (0, 1) cancel exactly: the paper's stagnation point
         own, goal = own_state(psi=0.3), (10.0, 0.0)
         obs = static_view((0.0, 1.0))
-        p = HarmonicParams()
-        sx, sy = sink_velocity((own.x, own.y), goal, p.Lambda_sink)
-        wx, wy = vortex_velocity((own.x, own.y), obs.position, p.K_vor0)
+        sx, sy = sink_velocity((own.x, own.y), goal, LAMBDA_SINK)
+        wx, wy = vortex_velocity((own.x, own.y), obs.position, K_VOR0)
         assert (sx + wx, sy + wy) == (0.0, 0.0)
-        out = desired_heading_harmonic(own, goal, [obs], None, p, R_SAFE, modified=False,
+        out = desired_heading_harmonic(own, goal, [obs], None, R_SAFE, modified=False,
                                        prev_psi_d=prev_psi_d)
         assert out == expected
 
     def test_inverse_square_points_at_goal_when_clear(self):
-        psi_d = desired_heading_inverse_square(own_state(), (0.0, 30.0), [],
-                                               InverseSquareParams(), 0.0)
+        psi_d = desired_heading_inverse_square(own_state(), (0.0, 30.0), [], 0.0)
         assert psi_d == pytest.approx(math.pi / 2)
 
     def test_inverse_square_collinear_until_stagnation(self):
-        p = InverseSquareParams()
         own_far = own_state(x=0.0)
         obs = static_view((25.0, 0.0))
-        assert desired_heading_inverse_square(own_far, (50.0, 0.0), [obs], p, 0.0) == 0.0
+        assert desired_heading_inverse_square(own_far, (50.0, 0.0), [obs], 0.0) == 0.0
         own_near = own_state(x=24.0)  # inside the stagnation radius
-        assert abs(desired_heading_inverse_square(own_near, (50.0, 0.0), [obs], p,
+        assert abs(desired_heading_inverse_square(own_near, (50.0, 0.0), [obs],
                                                   0.0)) == math.pi
 
     @pytest.mark.parametrize("prev_psi_d, expected", [(0.7, 0.7)])
     def test_stagnation_holds_previous_heading(self, prev_psi_d, expected):
         out = desired_heading_inverse_square(own_state(x=3.0, y=4.0, psi=0.3), (3.0, 4.0),
-                                             [], InverseSquareParams(), prev_psi_d=prev_psi_d)
+                                             [], prev_psi_d=prev_psi_d)
         assert out == expected
 

@@ -10,7 +10,6 @@ import asvsim
 from asvsim import scenarios
 from asvsim.apf import (
     FieldSingularity,
-    HarmonicParams,
     ObstacleView,
     OwnShip,
     StaticObstacle,
@@ -29,7 +28,6 @@ from asvsim.engine import (
     run,
 )
 from asvsim.frames import wrap_angle
-from asvsim.guidance import ILOSParams
 from asvsim.mmg import DELTA_MAX
 
 DELTA_35 = math.radians(35.0)
@@ -97,7 +95,7 @@ class TestStep:
 
         def heading(R_safe):
             return wrap_angle(desired_heading_harmonic(
-                own, (60.0, 0.0), [view], None, HarmonicParams(), R_safe, True, own.psi))
+                own, (60.0, 0.0), [view], None, R_safe, True, own.psi))
 
         assert first[9] == heading(20.0) != heading(15.0)
 
@@ -404,14 +402,13 @@ class TestScenarioValidation:
         (lambda: SimConfig(termination="x"), "termination must be 'all' or 'own'"),
         (lambda: AgentSpec(id=0, start=(0, 0), heading=0.0, speed=1.0, waypoints=()),
          "agent needs at least one waypoint"),
-        (lambda: ILOSParams(R_tol=0.0), "Delta and R_tol must be > 0"),
         (lambda: AgentSpec(id=0, start=(0, 0), heading=0.0, speed=1.3, waypoints=((10, 0),)),
          r"assigned speed must be in \(0, 1.2\]"),
         (lambda: AgentSpec(id=0, start=(0, 0), heading=0.0, speed=0.0, waypoints=((10, 0),)),
          r"assigned speed must be in \(0, 1.2\]"),
         (lambda: AgentSpec(id=0, start=(1, 1), heading=0.0, speed=1.0, waypoints=((1, 1),)),
          "consecutive waypoints must not coincide"),
-    ], ids=["termination", "no_waypoints", "switch_radius", "speed_above_range",
+    ], ids=["termination", "no_waypoints", "speed_above_range",
             "speed_zero", "start_on_waypoint"])
     def test_invalid_spec_rejected(self, build, message):
         with pytest.raises(ValueError, match=message):

@@ -7,8 +7,10 @@ from hypothesis import given, strategies as st
 from asvsim.engine import AgentSpec, Scenario, World, run
 from asvsim.frames import wrap_angle
 from asvsim.guidance import (
-    ILOSParams,
-    PDGains,
+    DELTA,
+    KI_G,
+    KP_G,
+    R_TOL,
     ilos_desired_heading,
     ilos_integrator_derivative,
     pd_rudder_command,
@@ -51,60 +53,58 @@ class TestTrackErrors:
 
 class TestILOS:
     def test_on_path_heading(self):
-        p = ILOSParams()
-        assert ilos_desired_heading(0.3, 0.0, 0.0, p) == pytest.approx(0.3)
+        assert ilos_desired_heading(0.3, 0.0, 0.0) == pytest.approx(0.3)
 
     def test_forty_five_degree_correction(self):
-        p = ILOSParams(Delta=2.0)
-        out = ilos_desired_heading(0.0, 2.0, 0.0, p)
+        # Delta = 2: a 2 L cross-track error steers 45 degrees back
+        out = ilos_desired_heading(0.0, 2.0, 0.0)
         assert out == pytest.approx(-math.pi / 4)
 
     def test_limit_heading_from_above(self):
-        p = ILOSParams(Delta=2.0)
-        out = ilos_desired_heading(0.0, 1e6, 0.0, p)
+        out = ilos_desired_heading(0.0, 1e6, 0.0)
         assert -math.pi / 2 < out < -math.pi / 2 + 1e-4
 
     def test_gains_follow_reference_tuning(self):
-        p = ILOSParams()
-        assert p.Kp_g == pytest.approx(0.5)
-        assert p.Ki_g == pytest.approx(0.025)
-        assert p.R_tol == 3.0
+        assert KP_G == pytest.approx(0.5)
+        assert KI_G == pytest.approx(0.025)
+        assert R_TOL == 3.0
 
     def test_integrator_zero_error(self):
-        assert ilos_integrator_derivative(0.0, 5.0, ILOSParams()) == 0.0
+        assert ilos_integrator_derivative(0.0, 5.0) == 0.0
 
     def test_integrator_hand_value(self):
-        out = ilos_integrator_derivative(2.0, 0.0, ILOSParams(Delta=2.0, k_factor=0.05))
+        # Delta = 2, k = 0.05
+        out = ilos_integrator_derivative(2.0, 0.0)
         assert out == pytest.approx(0.5)
 
     @given(y_e=st.floats(-50, 50), y_int=st.floats(-50, 50))
     def test_integrator_bounded(self, y_e, y_int):
-        p = ILOSParams(Delta=2.0)
-        assert abs(ilos_integrator_derivative(y_e, y_int, p)) <= abs(y_e) / p.Delta + 1e-12
+        assert abs(ilos_integrator_derivative(y_e, y_int)) <= abs(y_e) / DELTA + 1e-12
 
 
 class TestWaypointSwitch:
     @pytest.mark.parametrize("dist,expected", [(2.9, True), (3.0, True), (3.1, False)])
     def test_switch_radius(self, dist, expected):
-        assert should_switch_waypoint((0, 0), (dist, 0), 3.0) is expected
+        assert should_switch_waypoint((0, 0), (dist, 0)) is expected
 
 
 class TestPDCommand:
     def test_no_error(self):
-        assert pd_rudder_command(0.0, 0.0, 0.0, PDGains()) == 0.0
+        assert pd_rudder_command(0.0, 0.0, 0.0) == 0.0
 
     def test_hand_value(self):
-        out = pd_rudder_command(0.1, 0.0, 0.0, PDGains(Kp_c=3.5, Kd_c=4.0))
+        # Kp = 3.5
+        out = pd_rudder_command(0.1, 0.0, 0.0)
         assert out == pytest.approx(-0.35)
 
     def test_clamped(self):
-        out = pd_rudder_command(-math.pi / 2, 0.0, 0.0, PDGains())
+        out = pd_rudder_command(-math.pi / 2, 0.0, 0.0)
         assert out == DELTA_35
 
     def test_error_wraps(self):
         # psi = 179 deg, psi_d = -179 deg: error is -2 deg, never +358
         psi, psi_d = math.radians(179.0), math.radians(-179.0)
-        out = pd_rudder_command(psi, psi_d, 0.0, PDGains(Kp_c=3.5, Kd_c=4.0))
+        out = pd_rudder_command(psi, psi_d, 0.0)
         assert out == pytest.approx(-3.5 * math.radians(-2.0))
 
     def test_wrap_on_random_pairs(self):

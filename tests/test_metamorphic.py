@@ -6,6 +6,13 @@ runs bit for bit: every recorded track, the outcomes, the end reason and
 the CE/MCTE metrics.  The scenes are four canned ones and three Monte
 Carlo draws.  Permuting the input agent list is checked in test_engine.py.
 
+Removing a third-party vessel that never comes within R_safe + 1 of any
+other vessel leaves every other track bit-identical, up to the step at
+which the shorter run ends: that run's final row records the state but
+carries the commands of the step before, so it is compared on its state
+columns only.  It runs on three Monte Carlo draws under "all" termination,
+two of which end sooner without the removed vessel.
+
 The fork relation transforms the run instead: a deep copy of the world
 taken at a step boundary, and the original, each resumed to the end, equal
 the uninterrupted run.  A run is a value, with no state shared through
@@ -20,7 +27,7 @@ import pytest
 
 from asvsim import scenarios
 from asvsim.apf import StaticObstacle
-from asvsim.engine import METHODS, World, run, track_rows
+from asvsim.engine import METHODS, ROW_LEN, World, run, track_rows
 from asvsim.montecarlo import EnvSpec, child_rng, sample_scenario
 from asvsim.serialize import CSV_COLUMNS
 
@@ -102,6 +109,34 @@ def test_order_keeping_relabel_changes_nothing(model, original, scene, method):
               model=model)
     assert [b.agent_id for b in out.agents] == [7 * a.agent_id + 3 for a in base.agents]
     assert signature(out) == signature(base)
+
+
+#: the isolated-vessel relation's draws: (environment id, run index under
+#: master seed 7, id of the removed vessel)
+ISOLATED = {"env1_run2": (1, 2, 2), "env1_run3": (1, 3, 1), "env2_run12": (2, 12, 3)}
+#: state columns lead a track row: t, x, y, psi, u, v, r and delta
+N_STATE = COLUMNS.index("delta_c_rad")
+
+
+@pytest.mark.parametrize("draw", ISOLATED)
+def test_removing_an_isolated_vessel_changes_no_other_track(model, draw):
+    env_id, run_index, removed = ISOLATED[draw]
+    sc = sample_scenario(EnvSpec.by_id(env_id), child_rng(7, run_index))
+    sc = replace(sc.with_method("apf_mvortex"), config=replace(sc.config, termination="all"))
+    base = run(sc, model=model)
+    tracks = {a.agent_id: t for a, t in zip(base.agents, base.tracks)}
+    rows = {aid: list(track_rows(t)) for aid, t in tracks.items()}
+    gap = min(math.hypot(ra[1] - rb[1], ra[2] - rb[2])
+              for aid in rows if aid != removed for ra, rb in zip(rows[removed], rows[aid]))
+    assert gap > sc.config.R_safe + 1.0  # the draw still isolates the vessel
+    out = run(replace(sc, agents=[a for a in sc.agents if a.id != removed]), model=model)
+    assert [a.agent_id for a in out.agents] == [aid for aid in tracks if aid != removed]
+    last = out.n_steps * ROW_LEN  # offset of the final row
+    assert out.n_steps <= base.n_steps
+    for agent, track in zip(out.agents, out.tracks):
+        full = tracks[agent.agent_id]
+        assert bytes(track[:last]) == bytes(full[:last]), agent.agent_id
+        assert bytes(track[last:last + N_STATE]) == bytes(full[last:last + N_STATE])
 
 
 #: the fork relation's scenes: two encounters that end at the goal, and one

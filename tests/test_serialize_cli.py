@@ -11,6 +11,7 @@ from asvsim import engine, scenarios
 from asvsim.apf import StaticObstacle
 from asvsim.cli import main
 from asvsim.engine import AgentSpec, Scenario, SimConfig, World, run
+from asvsim.vo import VOParams
 from asvsim.plots import (
     FIELD_GOAL,
     FIELD_OBSTACLE,
@@ -128,6 +129,8 @@ BAD_DOCUMENTS = {
                         "sim.max_time: must be a finite number"),
     "termination": (dict(MINIMAL, sim={"termination": "x"}),
                     "sim.termination: must be 'all' or 'own'"),
+    "max_time_below_dt": (dict(MINIMAL, sim={"dt": 1.0, "max_time": 0.5}),
+                          "sim: need dt > 0 and max_time > dt"),
     "channel_segment": (dict(MINIMAL, channel={"boundary_a": [[0, 5]],
                                                "boundary_b": [[0, -5], [60, -5]]}),
                         "channel.boundary_a: must be a [[x, y], [x, y]] segment"),
@@ -135,26 +138,51 @@ BAD_DOCUMENTS = {
                         "channel.boundary_a: must be a [[x, y], [x, y]] segment"),
     # a null block is no block of the schema; it is not an omitted one
     **{f"null_{block}": (dict(MINIMAL, **{block: None}), f"{block}: must be an object")
-       for block in ("guidance", "control", "apf", "vo", "sim", "channel")},
+       for block in ("vo", "sim", "channel")},
+    # the blocks that held the reference tuning are gone, null or not
+    **{f"null_{block}": (dict(MINIMAL, **{block: None}),
+                         f"scenario: unknown field(s) ['{block}']")
+       for block in ("guidance", "control", "apf")},
 }
+
+#: every key of the reference tuning a scenario file could once set; the
+#: values are module constants now, so a file that sets one is refused
+REMOVED_KEYS = (
+    "guidance.delta", "guidance.k_factor", "guidance.r_tol", "control.kp", "control.kd",
+    "apf.k_att", "apf.k_rep", "apf.d0", "apf.lambda_sink", "apf.k_vor0",
+    "apf.r_tol_vortex", "apf.in_extremis_range", "vo.heading_resolution_deg",
+    "vo.max_course_change_deg", "sim.collision_threshold",
+    "channel.activation_distance", "channel.source_strength",
+)
+#: the removed keys that took any finite number, not only one > 0
+SIGNED_REMOVED_KEYS = ("guidance.k_factor", "apf.lambda_sink", "apf.k_vor0")
+
+
+def unknown_key_error(path):
+    """The start of the error for a file that sets the removed key `path`:
+    it names the key, or its block when the block is gone."""
+    block, key = path.split(".")
+    name, where = (key, block) if block in ("vo", "sim", "channel") else (block, "scenario")
+    return rf"^{where}: unknown field\(s\) \['{name}'\]"
 
 
 class TestScenarioParsing:
     def test_minimal_gets_reference_defaults(self):
         sc = parse_scenario(MINIMAL)
-        assert sc.ilos.Delta == 2.0
-        assert sc.ilos.Kp_g == pytest.approx(0.5)
-        assert sc.ilos.Ki_g == pytest.approx(0.025)
-        assert sc.ilos.R_tol == 3.0
-        assert sc.gains.Kp_c == 3.5 and sc.gains.Kd_c == 4.0
-        assert sc.inverse_params.k_att == 50.0
-        assert sc.inverse_params.k_rep == 200000.0
-        assert sc.inverse_params.d0 == 15.0
-        assert sc.harmonic_params.Lambda_sink == -100.0
-        assert sc.harmonic_params.K_vor0 == -10.0
-        assert sc.config.R_safe == 15.0
-        assert sc.config.collision_threshold == 2.0
+        assert sc.config == SimConfig(dt=0.1, max_time=400.0, R_safe=15.0, termination="all")
+        assert sc.vo_params == VOParams(cone_radius=6.0)
+        assert sc.channel is None
         assert sc.agents[0].method == "apf_mvortex"
+
+    @pytest.mark.parametrize("path", REMOVED_KEYS)
+    def test_removed_tuning_key_is_unknown(self, path):
+        # the reference tuning is code: setting one of its former keys, even
+        # to a value it once accepted, is an error
+        block, key = path.split(".")
+        doc = scenario_to_dict(scenarios.narrow_channel())
+        doc.setdefault(block, {})[key] = 1.0
+        with pytest.raises(ScenarioError, match=unknown_key_error(path)):
+            parse_scenario(doc)
 
     def test_unknown_field_rejected_with_path(self):
         doc = dict(MINIMAL, weather="stormy")
@@ -174,7 +202,7 @@ class TestScenarioParsing:
 
     def test_r_safe_alone_matches_programmatic_scenario(self):
         # the detection radius is stored once, so setting it in the file
-        # changes nothing else (apf.d0 keeps its own default)
+        # changes nothing else (the influence distance apf.D0 is a constant)
         parsed = parse_scenario(dict(MINIMAL, sim={"r_safe": 20}))
         agent = AgentSpec(id=0, start=(0.0, 0.0), heading=0.0, speed=1.0,
                           waypoints=((60.0, 0.0),))
@@ -235,17 +263,21 @@ class TestScenarioParsing:
 
 
 SCHEMA_PROPERTIES = schema("scenario.schema.json")["properties"]
-PARAMETER_BLOCKS = sorted({block for block, _, _ in PARAMETERS.values()})
+PARAMETER_BLOCKS = sorted({block for block, _, _ in PARAMETERS.values()} | {"channel"})
 #: "block.key" -> (Scenario attribute, dataclass field, kind) of every number key
 NUMBER_KEYS = {f"{block}.{key}": (attr, name, kind)
                for attr, (block, _, keys) in PARAMETERS.items()
                for key, (name, kind) in keys.items() if not isinstance(kind, tuple)}
 
-#: (value, "block.key") of every value the parser rejects for a number key:
-#: NaN and +-inf for each, and 0 and -1 too for each it requires to be > 0
+#: (value, "block.key") of every value the parser rejects for a number key,
+#: or rejected before the key was removed: NaN and +-inf for each, and 0 and
+#: -1 too for each that must be > 0
 NON_FINITE = (math.nan, math.inf, -math.inf)
-PARSER_REJECTS = [(value, path) for path, (_, _, kind) in NUMBER_KEYS.items()
-                  for value in (NON_FINITE if kind == NUMBER else (0.0, -1.0, *NON_FINITE))]
+PARSER_REJECTS = [
+    (value, path)
+    for path, positive in [(path, kind != NUMBER) for path, (_, _, kind) in NUMBER_KEYS.items()]
+    + [(path, path not in SIGNED_REMOVED_KEYS) for path in REMOVED_KEYS]
+    for value in ((0.0, -1.0, *NON_FINITE) if positive else NON_FINITE)]
 
 
 class TestSchemaParity:
@@ -274,16 +306,20 @@ class TestSchemaParity:
 
     @pytest.mark.parametrize("value, path", PARSER_REJECTS)
     def test_params_reject_what_the_parser_rejects(self, value, path):
-        # a programmatic scenario gets the same check as the key in a file
+        # a programmatic scenario gets the same check as the key in a file; a
+        # removed key is refused as unknown before its value is looked at
         block, key = path.split(".")
         doc = scenario_to_dict(scenarios.narrow_channel())
-        doc[block][key] = value
-        with pytest.raises(ScenarioError, match=f"^{re.escape(path)}: must be"):
+        doc.setdefault(block, {})[key] = value
+        removed = path in REMOVED_KEYS
+        with pytest.raises(ScenarioError, match=unknown_key_error(path) if removed
+                           else f"^{re.escape(path)}: must be"):
             parse_scenario(doc)
-        attr, name, _ = NUMBER_KEYS[path]
-        params = getattr(scenarios.narrow_channel(), attr)
-        with pytest.raises(ValueError):
-            replace(params, **{name: value})
+        if not removed:  # a module constant has no programmatic setting
+            attr, name, _ = NUMBER_KEYS[path]
+            params = getattr(scenarios.narrow_channel(), attr)
+            with pytest.raises(ValueError):
+                replace(params, **{name: value})
 
 
 class TestTrajectoryCSV:
@@ -317,6 +353,16 @@ class TestTrajectoryCSV:
             read_trajectory_csv(str(path))
         path.write_text("")
         with pytest.raises(ValueError, match=r"unexpected CSV header \[\]"):
+            read_trajectory_csv(str(path))
+
+    @pytest.mark.parametrize("field, value", [(0, "x"), (11, "0.5")], ids=["t_prime", "mode"])
+    def test_non_numeric_field_names_file_and_line(self, tmp_path, field, value):
+        row = ["0.0", "0", "1.0", "2.0", "0.0", "1.0", "0.0", "0.0", "0.0", "0.0", "0.0",
+               "0", "0.0"]
+        row[field] = value
+        path = tmp_path / "t.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\r\n" + ",".join(row) + "\r\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: "):
             read_trajectory_csv(str(path))
 
     def test_one_row_per_agent_per_step(self, tmp_path, model):
@@ -542,6 +588,7 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
+        assert str(bad) in err
 
     def test_batch_invalid_env(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asvsim.apf import FieldSingularity, ObstacleView
-from asvsim.vo import VOParams, collision_cone, heading_admissible, vo_desired_heading
+from asvsim.vo import (
+    HEADING_RESOLUTION,
+    MAX_COURSE_CHANGE,
+    VOParams,
+    collision_cone,
+    heading_admissible,
+    vo_desired_heading,
+)
 
 
 def view(pos, vel=(0.0, 0.0), radius=0.0):
@@ -51,7 +58,7 @@ class TestDesiredHeading:
         sep = 10.0
         out = vo_desired_heading((0, 0), 1.0, (30, 0), [view((sep, 0.0))], p)
         half = math.asin(p.cone_radius / sep)
-        assert abs(out) == pytest.approx(half, abs=p.heading_resolution + 1e-9)
+        assert abs(out) == pytest.approx(half, abs=HEADING_RESOLUTION + 1e-9)
 
     def test_starboard_preferred_on_tie(self):
         p = VOParams(cone_radius=2.0)
@@ -59,7 +66,8 @@ class TestDesiredHeading:
         assert out > 0.0
 
     def test_deviation_bounded(self):
-        p = VOParams(cone_radius=6.0, max_course_change=math.radians(90.0))
+        # the search turns at most MAX_COURSE_CHANGE (90 degrees) off the goal bearing
+        p = VOParams(cone_radius=6.0)
         targets = [view((6.5, 0.0)), view((8.0, 3.0)), view((8.0, -3.0))]
         out = vo_desired_heading((0, 0), 1.0, (30, 0), targets, p)
         assert abs(out) <= math.radians(90.0) + 1e-12
@@ -114,11 +122,11 @@ def reference_search(own_pos, speed, goal, targets, p):
     cones = reference_cones(own_pos, targets, p)
     if not cones:
         return goal_bearing
-    n_steps = int(round(p.max_course_change / p.heading_resolution))
+    n_steps = int(round(MAX_COURSE_CHANGE / HEADING_RESOLUTION))
     best_heading, best_violations = goal_bearing, None
     for i in range(n_steps + 1):
-        offsets = (i * p.heading_resolution,) if i == 0 else (
-            i * p.heading_resolution, -i * p.heading_resolution)
+        offsets = (i * HEADING_RESOLUTION,) if i == 0 else (
+            i * HEADING_RESOLUTION, -i * HEADING_RESOLUTION)
         for off in offsets:
             heading = goal_bearing + off
             violations = reference_violations(cones, speed, heading)
@@ -137,14 +145,7 @@ coord = st.floats(-16.0, 16.0)
 target = st.builds(view, st.tuples(coord, coord),
                    st.tuples(st.floats(-1.2, 1.2), st.floats(-1.2, 1.2)),
                    st.sampled_from([0.0, 0.5]))
-params = st.builds(
-    VOParams,
-    cone_radius=st.floats(1.0, 8.0),
-    heading_resolution=st.sampled_from([math.radians(1.0), math.radians(2.0),
-                                        math.radians(5.0)]),
-    max_course_change=st.sampled_from([math.radians(30.0), math.radians(90.0),
-                                       math.radians(180.0)]),
-)
+params = st.builds(VOParams, cone_radius=st.floats(1.0, 8.0))
 
 
 @st.composite
@@ -189,7 +190,7 @@ class TestMatchesReference:
 
     def test_fewest_violations_fallback_without_whole_plane(self):
         # a ring of moving targets leaves no clear candidate
-        p = VOParams(cone_radius=4.0, max_course_change=math.radians(90.0))
+        p = VOParams(cone_radius=4.0)
         targets = [view((10.0 * math.cos(a), 10.0 * math.sin(a)),
                         (-0.6 * math.cos(a), -0.6 * math.sin(a)))
                    for a in [math.radians(d) for d in range(-90, 91, 30)]]
